@@ -189,20 +189,26 @@ func BenchmarkSimulateWater4p(b *testing.B) {
 }
 
 // benchmarkEngine times one engine on the Figure 2 application's
-// LOAD-BAL/8p cell, reporting simulated cycles per second of wall time —
-// the before/after number behind BENCH_sim.json.
+// LOAD-BAL/8p cell — the before/after number behind BENCH_sim.json.
 func benchmarkEngine(b *testing.B, eng sim.Engine) {
+	benchmarkCell(b, eng, "LocusRoute", "LOAD-BAL", 8, false)
+}
+
+// benchmarkCell times one engine on one static cell, reporting simulated
+// references per second of wall time (the headline engine number) next
+// to simulated cycles per second.
+func benchmarkCell(b *testing.B, eng sim.Engine, app, alg string, procs int, infinite bool) {
 	b.Helper()
 	s := benchSuite()
-	tr, err := s.Trace("LocusRoute")
+	tr, err := s.Trace(app)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, err := s.Place("LocusRoute", "LOAD-BAL", 8)
+	pl, err := s.Place(app, alg, procs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg, err := s.Config("LocusRoute", 8, false)
+	cfg, err := s.Config(app, procs, infinite)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -216,6 +222,13 @@ func benchmarkEngine(b *testing.B, eng sim.Engine) {
 		}
 		cycles += res.ExecTime
 	}
+	reportEngineRates(b, tr, cycles)
+}
+
+// reportEngineRates reports references and simulated cycles per second
+// of wall time over b.N runs of tr.
+func reportEngineRates(b *testing.B, tr *trace.Trace, cycles uint64) {
+	b.ReportMetric(float64(tr.TotalRefs())*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }
 
@@ -283,10 +296,51 @@ func BenchmarkEngineProbeDisabled(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }
 
-// BenchmarkEngineFast times the specialized 4-ary-heap slab engine on the
-// same cell; the cycles/s ratio against BenchmarkEngineReference is the
-// raw engine speedup.
+// BenchmarkEngineFast times the next-event-array slab engine on the same
+// cell; the refs/s ratio against BenchmarkEngineReference is the raw
+// engine speedup.
 func BenchmarkEngineFast(b *testing.B) { benchmarkEngine(b, sim.FastEngine) }
+
+// BenchmarkEngineFast64 times the fast engine at 64 processors (Gauss
+// LOAD-BAL, about two threads per processor), where its next-event
+// min-scan covers the most slots.
+func BenchmarkEngineFast64(b *testing.B) {
+	benchmarkCell(b, sim.FastEngine, "Gauss", "LOAD-BAL", 64, false)
+}
+
+// BenchmarkEngineInfinite times the fast engine on a Table 5 cell: 8 MB
+// "infinite" caches on 16 processors (LocusRoute LOAD-BAL). B/op shows
+// what the caches' first-touch pages allocate.
+func BenchmarkEngineInfinite(b *testing.B) {
+	benchmarkCell(b, sim.FastEngine, "LocusRoute", "LOAD-BAL", 16, true)
+}
+
+// BenchmarkEngineDynamic times the fast engine on the dynamic
+// self-scheduling baseline: LocusRoute, longest-first, 8 processors with
+// 2 contexts each.
+func BenchmarkEngineDynamic(b *testing.B) {
+	s := benchSuite()
+	tr, err := s.Trace("LocusRoute")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := s.Config("LocusRoute", 8, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.MaxContexts = 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		res, err := sim.RunDynamic(tr, cfg, sim.LongestFirst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles += res.ExecTime
+	}
+	reportEngineRates(b, tr, cycles)
+}
 
 // BenchmarkAnalyzeGauss measures the static trace analysis plus sharing-
 // matrix construction on the largest-thread-count application.

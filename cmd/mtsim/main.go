@@ -132,7 +132,7 @@ func run(o options, out io.Writer, log *slog.Logger) error {
 		default:
 			return obs.Usagef("unknown -dynamic policy %q (fifo or longest-first)", o.dynamic)
 		}
-		res, err = sim.RunDynamicGuarded(tr, cfg, policy, probe, guard)
+		res, err = sim.RunDynamicGuarded(tr, cfg, policy, sim.FastEngine, probe, guard)
 		if err != nil {
 			return err
 		}

@@ -104,10 +104,12 @@ type Probe interface {
 	// ContextSwitch: the processor paid the pipeline-drain cost to switch
 	// contexts.
 	ContextSwitch(t uint64, proc int)
-	// QueueDepth: the engine's event-queue depth after dequeuing the
-	// event being processed at time t. Queue depth is engine-internal
-	// bookkeeping: the two engines agree on every architectural event
-	// above, but may momentarily disagree on stale-entry counts here.
+	// QueueDepth: the number of processors with a pending event after
+	// dequeuing the event being processed at time t. Queue depth is
+	// engine-internal bookkeeping: the two engines agree on every
+	// architectural event above, but on online runs the reference
+	// engine's heap also counts the superseded wake entries a detection
+	// boundary leaves behind.
 	QueueDepth(t uint64, depth int)
 	// Fault: a resilience event (watchdog trip, engine divergence,
 	// fallback engagement) at time t. Fault events are emitted by the

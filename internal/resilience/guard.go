@@ -107,6 +107,37 @@ func (g *EngineGuard) Run(tr *trace.Trace, pl *placement.Placement, cfg sim.Conf
 // while healthy, the reference engine once benched — never to the sampled
 // cross-check run, so probe counts always describe the result returned.
 func (g *EngineGuard) RunCell(tr *trace.Trace, pl *placement.Placement, cfg sim.Config, probe obs.Probe, guard sim.Guard) (*sim.Result, error) {
+	return g.runGuarded(cfg.Processors, probe, func(eng sim.Engine, probe obs.Probe) (*sim.Result, error) {
+		return sim.RunGuarded(tr, pl, cfg, eng, probe, guard)
+	})
+}
+
+// RunOnline is RunCell for online adaptive-placement cells: the same
+// fast-first/cross-check/bench discipline, with sim.RunOnlineGuarded on
+// both sides so the sampled reference run replays the identical
+// boundary decisions and migrations. With opts disabled this is exactly
+// RunCell — sim.RunOnlineGuarded delegates to sim.RunGuarded.
+func (g *EngineGuard) RunOnline(tr *trace.Trace, pl *placement.Placement, cfg sim.Config, opts sim.OnlineOptions, probe obs.Probe, guard sim.Guard) (*sim.Result, error) {
+	return g.runGuarded(cfg.Processors, probe, func(eng sim.Engine, probe obs.Probe) (*sim.Result, error) {
+		return sim.RunOnlineGuarded(tr, pl, cfg, eng, opts, probe, guard)
+	})
+}
+
+// RunDynamic is RunCell for dynamic self-scheduling cells, under the
+// guard's watchdog and on the same cross-check sampling schedule. It
+// matches core.Options.DynRunner's signature.
+func (g *EngineGuard) RunDynamic(tr *trace.Trace, cfg sim.Config, policy sim.SchedulePolicy) (*sim.Result, error) {
+	return g.runGuarded(cfg.Processors, nil, func(eng sim.Engine, probe obs.Probe) (*sim.Result, error) {
+		return sim.RunDynamicGuarded(tr, cfg, policy, eng, probe, g.Guard)
+	})
+}
+
+// runGuarded is the discipline every guarded cell shares: simulate on the
+// fast engine (the reference once benched), cross-check a deterministic
+// sample against the reference engine, and bench the fast engine on the
+// first divergence. simulate runs the cell on the given engine with the
+// given probe.
+func (g *EngineGuard) runGuarded(procs int, probe obs.Probe, simulate func(sim.Engine, obs.Probe) (*sim.Result, error)) (*sim.Result, error) {
 	g.mu.Lock()
 	g.runs++
 	run := g.runs
@@ -118,16 +149,16 @@ func (g *EngineGuard) RunCell(tr *trace.Trace, pl *placement.Placement, cfg sim.
 	g.mu.Unlock()
 
 	if degraded {
-		return sim.RunGuarded(tr, pl, cfg, sim.ReferenceEngine, probe, guard)
+		return simulate(sim.ReferenceEngine, probe)
 	}
-	fast, err := sim.RunGuarded(tr, pl, cfg, sim.FastEngine, probe, guard)
+	fast, err := simulate(sim.FastEngine, probe)
 	if err != nil {
 		return nil, err
 	}
 	if !check {
 		return fast, nil
 	}
-	ref, err := sim.RunGuarded(tr, pl, cfg, sim.ReferenceEngine, nil, guard)
+	ref, err := simulate(sim.ReferenceEngine, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +169,7 @@ func (g *EngineGuard) RunCell(tr *trace.Trace, pl *placement.Placement, cfg sim.
 	// Divergence: the reference engine is the oracle — its result stands,
 	// the fast engine is benched for the rest of the process.
 	rep := DivergenceReport{
-		App: tr.App, Algorithm: pl.Algorithm, Processors: cfg.Processors,
+		App: ref.App, Algorithm: ref.Algorithm, Processors: procs,
 		RunIndex: run, FastExec: fast.ExecTime, RefExec: ref.ExecTime,
 		Detail: divergenceDetail(fast, ref),
 	}
@@ -159,74 +190,6 @@ func (g *EngineGuard) RunCell(tr *trace.Trace, pl *placement.Placement, cfg sim.
 		g.OnFallback(rep)
 	}
 	return ref, nil
-}
-
-// RunOnline is RunCell for online adaptive-placement cells: the same
-// fast-first/cross-check/bench discipline, with sim.RunOnlineGuarded on
-// both sides so the sampled reference run replays the identical
-// boundary decisions and migrations. With opts disabled this is exactly
-// RunCell — sim.RunOnlineGuarded delegates to sim.RunGuarded.
-func (g *EngineGuard) RunOnline(tr *trace.Trace, pl *placement.Placement, cfg sim.Config, opts sim.OnlineOptions, probe obs.Probe, guard sim.Guard) (*sim.Result, error) {
-	g.mu.Lock()
-	g.runs++
-	run := g.runs
-	degraded := g.degraded
-	check := !degraded && g.SampleEvery > 0 && run%uint64(g.SampleEvery) == 0
-	if check {
-		g.crossChecks++
-	}
-	g.mu.Unlock()
-
-	if degraded {
-		return sim.RunOnlineGuarded(tr, pl, cfg, sim.ReferenceEngine, opts, probe, guard)
-	}
-	fast, err := sim.RunOnlineGuarded(tr, pl, cfg, sim.FastEngine, opts, probe, guard)
-	if err != nil {
-		return nil, err
-	}
-	if !check {
-		return fast, nil
-	}
-	ref, err := sim.RunOnlineGuarded(tr, pl, cfg, sim.ReferenceEngine, opts, nil, guard)
-	if err != nil {
-		return nil, err
-	}
-	if reflect.DeepEqual(fast, ref) {
-		return fast, nil
-	}
-
-	rep := DivergenceReport{
-		App: tr.App, Algorithm: pl.Algorithm, Processors: cfg.Processors,
-		RunIndex: run, FastExec: fast.ExecTime, RefExec: ref.ExecTime,
-		Detail: divergenceDetail(fast, ref),
-	}
-	g.mu.Lock()
-	first := !g.degraded
-	if first {
-		g.degraded = true
-		g.report = &rep
-	}
-	if g.Probe != nil {
-		g.Probe.Fault(ref.ExecTime, obs.FaultDivergence)
-		if first {
-			g.Probe.Fault(ref.ExecTime, obs.FaultFallback)
-		}
-	}
-	g.mu.Unlock()
-	if first && g.OnFallback != nil {
-		g.OnFallback(rep)
-	}
-	return ref, nil
-}
-
-// RunDynamic simulates a dynamic-scheduling cell under the guard's
-// watchdog. Dynamic runs always execute on the reference machine, so
-// there is no engine pair to cross-check — only the step budget applies.
-func (g *EngineGuard) RunDynamic(tr *trace.Trace, cfg sim.Config, policy sim.SchedulePolicy) (*sim.Result, error) {
-	g.mu.Lock()
-	g.runs++
-	g.mu.Unlock()
-	return sim.RunDynamicGuarded(tr, cfg, policy, nil, g.Guard)
 }
 
 // divergenceDetail points at the first field the two results disagree on.

@@ -308,3 +308,46 @@ func TestEngineGuardWatchdog(t *testing.T) {
 		t.Fatal("guard's step budget did not abort the dynamic run")
 	}
 }
+
+// TestEngineGuardDynamicCrossCheck: dynamic self-scheduling cells follow
+// the static sampling schedule, and a broken fast engine is caught and
+// benched on them too.
+func TestEngineGuardDynamicCrossCheck(t *testing.T) {
+	tr, _, cfg := guardCell()
+	want, err := sim.RunDynamicGuarded(tr, cfg, sim.LongestFirst, sim.ReferenceEngine, nil, sim.Guard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	healthy := &EngineGuard{SampleEvery: 2}
+	for i := 0; i < 4; i++ {
+		got, err := healthy.RunDynamic(tr, cfg, sim.LongestFirst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: guarded dynamic result differs from the reference engine", i)
+		}
+	}
+	if runs, checks := healthy.Stats(); runs != 4 || checks != 2 || healthy.Degraded() {
+		t.Errorf("healthy dynamic runs/checks = %d/%d (degraded %v), want 4/2", runs, checks, healthy.Degraded())
+	}
+
+	prev := sim.SetFastEngineFault(func(r *sim.Result) { r.ExecTime += 3 })
+	defer sim.SetFastEngineFault(prev)
+	g := &EngineGuard{SampleEvery: 1}
+	got, err := g.RunDynamic(tr, cfg, sim.LongestFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("divergent dynamic run did not return the reference result")
+	}
+	rep := g.Report()
+	if !g.Degraded() || rep == nil {
+		t.Fatal("dynamic divergence did not trip the guard")
+	}
+	if rep.Algorithm != "DYNAMIC/longest-first" || rep.FastExec != want.ExecTime+3 {
+		t.Errorf("report %+v does not describe the dynamic divergence", rep)
+	}
+}

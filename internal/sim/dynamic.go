@@ -41,7 +41,7 @@ func (p SchedulePolicy) String() string {
 // static placement: each processor starts ContextsPerProc threads (from
 // cfg.MaxContexts, default 1) and pulls the next queued thread whenever a
 // context frees. Returns the same Result as Run; Result.Algorithm is
-// "DYNAMIC/<policy>".
+// "DYNAMIC/<policy>". It runs on the fast engine.
 //
 // Implementation: the global queue is consumed through the same engine as
 // static runs. Because context-free events occur in deterministic global
@@ -53,17 +53,55 @@ func RunDynamic(tr *trace.Trace, cfg Config, policy SchedulePolicy) (*Result, er
 // RunDynamicObserved is RunDynamic with an observation probe attached (see
 // RunObserved). A nil probe is exactly RunDynamic.
 func RunDynamicObserved(tr *trace.Trace, cfg Config, policy SchedulePolicy, probe obs.Probe) (*Result, error) {
-	m, pl, err := newDynamicMachine(tr, cfg, policy)
+	return RunDynamicGuarded(tr, cfg, policy, FastEngine, probe, Guard{})
+}
+
+// RunDynamicGuarded is the full dynamic entry point: engine choice, probe
+// and watchdog (see RunGuarded). Dynamic schedules are where the watchdog
+// earns its keep: the online scheduler's feedback loop is the one place a
+// bad configuration can livelock rather than merely finish slowly.
+func RunDynamicGuarded(tr *trace.Trace, cfg Config, policy SchedulePolicy, eng Engine, probe obs.Probe, guard Guard) (*Result, error) {
+	pl, full, err := dynamicLayout(tr, cfg, policy)
 	if err != nil {
 		return nil, err
 	}
-	m.probe = probe
-	return m.run(tr, pl, 0)
+	// Build with every thread loaded (queued ones on processor 0), then
+	// detach the queue: each queued thread keeps the cursor and first
+	// reference the build gave it.
+	cfgAll := cfg
+	cfgAll.MaxContexts = 0
+	seeded := len(pl.Clusters[0])
+	switch eng {
+	case ReferenceEngine:
+		m, err := newMachine(tr, full, cfgAll)
+		if err != nil {
+			return nil, err
+		}
+		m.cfg = cfg
+		m.detachQueue(seeded)
+		m.probe = probe
+		m.guard = newGuardState(guard)
+		return m.run(tr, pl, 0)
+	case FastEngine:
+		m, err := newFastMachine(tr, full, cfgAll)
+		if err != nil {
+			return nil, err
+		}
+		m.cfg = cfg
+		m.detachQueue(seeded)
+		m.probe = probe
+		m.guard = newGuardState(guard)
+		return m.run(tr, pl)
+	default:
+		return nil, fmt.Errorf("sim: unknown engine %d", eng)
+	}
 }
 
-// newDynamicMachine builds the self-scheduling machine and its seed
-// placement (shared by RunDynamicObserved and RunDynamicGuarded).
-func newDynamicMachine(tr *trace.Trace, cfg Config, policy SchedulePolicy) (*machine, *placement.Placement, error) {
+// dynamicLayout validates a dynamic run and lays it out in policy order:
+// pl seeds each processor with its initial contexts, and full is pl with
+// the rest of the threads, the global ready queue, appended to processor
+// 0's cluster.
+func dynamicLayout(tr *trace.Trace, cfg Config, policy SchedulePolicy) (pl, full *placement.Placement, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -91,55 +129,22 @@ func newDynamicMachine(tr *trace.Trace, cfg Config, policy SchedulePolicy) (*mac
 		})
 	}
 
-	// Seed each processor with its initial contexts; the rest form the
-	// global ready queue.
-	clusters := make([][]int, cfg.Processors)
-	pos := 0
-	for q := 0; q < cfg.Processors; q++ {
-		clusters[q] = append(clusters[q], order[pos:pos+perProc]...)
-		pos += perProc
-	}
-	queue := append([]int(nil), order[pos:]...)
-
-	pl := &placement.Placement{
+	pl = &placement.Placement{
 		Algorithm: "DYNAMIC/" + policy.String(),
-		Clusters:  clusters,
+		Clusters:  make([][]int, cfg.Processors),
 	}
-	// The engine treats queue as shared: newMachine wires it through
-	// cfg-independent state below.
-	m, err := newMachineDynamic(tr, pl, cfg, queue)
-	if err != nil {
-		return nil, nil, err
+	for q := range pl.Clusters {
+		pl.Clusters[q] = order[q*perProc : (q+1)*perProc : (q+1)*perProc]
 	}
-	return m, pl, nil
+	full = &placement.Placement{Algorithm: pl.Algorithm, Clusters: append([][]int(nil), pl.Clusters...)}
+	full.Clusters[0] = append(full.Clusters[0], order[cfg.Processors*perProc:]...)
+	return pl, full, nil
 }
 
-// newMachineDynamic builds a machine whose processors pull additional
-// threads from a shared queue when contexts free.
-func newMachineDynamic(tr *trace.Trace, pl *placement.Placement, cfg Config, queue []int) (*machine, error) {
-	// The seeded clusters do not cover all threads, so the standard
-	// placement validation does not apply; check the basics directly.
-	if len(pl.Clusters) != cfg.Processors {
-		return nil, fmt.Errorf("sim: %d clusters for %d processors", len(pl.Clusters), cfg.Processors)
-	}
-	// Build via a full placement covering every thread, then strip the
-	// queued threads back out of the per-processor context lists.
-	full := &placement.Placement{Algorithm: pl.Algorithm, Clusters: make([][]int, len(pl.Clusters))}
-	for i, c := range pl.Clusters {
-		full.Clusters[i] = append([]int(nil), c...)
-	}
-	full.Clusters[0] = append(full.Clusters[0], queue...)
-	cfgAll := cfg
-	cfgAll.MaxContexts = 0
-	m, err := newMachine(tr, full, cfgAll)
-	if err != nil {
-		return nil, err
-	}
-	m.cfg = cfg
-	// Detach the queued threads from processor 0: they wait in the
-	// global queue instead.
+// detachQueue moves the threads loaded on processor 0 past its first
+// seeded contexts into the global queue.
+func (m *machine) detachQueue(seeded int) {
 	p0 := m.procs[0]
-	seeded := len(pl.Clusters[0])
 	for _, c := range p0.ctxs[seeded:] {
 		if c.state == ctxDone {
 			// Empty thread: leave it accounted as done on p0.
@@ -152,7 +157,30 @@ func newMachineDynamic(tr *trace.Trace, pl *placement.Placement, cfg Config, que
 	p0.nextLoad = len(p0.ctxs)
 	p0.rr = len(p0.ctxs) - 1
 	m.dynamic = true
-	return m, nil
+}
+
+// detachQueue is the fast engine's mirror of the reference detachQueue.
+// It also reserves room for the whole queue in every processor's context
+// slab, so pullDynamic never moves a slab mid-run.
+func (m *fastMachine) detachQueue(seeded int) {
+	p0 := &m.procs[0]
+	for _, c := range p0.ctxs[seeded:] {
+		if c.state == ctxDone {
+			continue
+		}
+		m.dynQueue = append(m.dynQueue, dynThread{thread: c.thread, cur: c.cur, pending: c.pending})
+	}
+	p0.ctxs = p0.ctxs[:seeded]
+	p0.nextLoad = len(p0.ctxs)
+	p0.rr = len(p0.ctxs) - 1
+	for i := range m.procs {
+		p := &m.procs[i]
+		if want := len(p.ctxs) + len(m.dynQueue); cap(p.ctxs) < want {
+			slab := make([]context, len(p.ctxs), want)
+			copy(slab, p.ctxs)
+			p.ctxs = slab
+		}
+	}
 }
 
 // dynThread is a thread waiting in the dynamic scheduler's global queue.

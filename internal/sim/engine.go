@@ -71,8 +71,8 @@ type event struct {
 
 // eventHeap is the reference engine's container/heap-backed event queue.
 // Every Push boxes the event into an interface{} (one heap allocation per
-// scheduled action); the fast engine replaces it with the concrete
-// quadHeap in heap4.go.
+// scheduled action); the fast engine replaces it with the per-processor
+// next-event array in nextevent.go.
 type eventHeap []event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -131,10 +131,11 @@ type machine struct {
 type Engine int
 
 const (
-	// FastEngine is the default optimized engine: a concrete 4-ary event
-	// heap (no interface boxing), contexts stored in a contiguous slab,
-	// mask-indexed allocation-free cache lookups, and an arena-backed
-	// directory with reusable sharer scratch buffers.
+	// FastEngine is the default optimized engine: a per-processor
+	// next-event array (no heap, no interface boxing), contexts stored in
+	// a contiguous slab, mask-indexed allocation-free cache lookups over
+	// first-touch line pages, and an arena-backed directory with reusable
+	// sharer scratch buffers.
 	FastEngine Engine = iota
 	// ReferenceEngine is the original straightforward implementation,
 	// kept as the oracle for differential testing and for RunChecked's

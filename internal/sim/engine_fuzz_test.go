@@ -10,9 +10,11 @@ import (
 
 // FuzzEngine feeds arbitrary traces (truncated, empty, single-thread) and
 // degenerate configurations (1 processor, tiny context caps, a cache of a
-// single line) to both engines. The engines must either reject the input
-// with an error or finish — never hang or panic — and when they finish
-// they must agree bit for bit.
+// single line) to both engines, under the static placement and under
+// FIFO and longest-first dynamic self-scheduling at 1 and 2 contexts per
+// processor. The engines must either reject the input with an error or
+// finish — never hang or panic — and when they finish they must agree bit
+// for bit.
 func FuzzEngine(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), false, false)
 	f.Add([]byte{0, 0, 0, 0}, uint8(1), uint8(1), uint8(1), uint8(0), uint8(0), false, false)
@@ -88,6 +90,21 @@ func FuzzEngine(f *testing.F) {
 		tot := fast.Totals()
 		if got := tot.Hits + tot.TotalMisses() + tot.Upgrades; got != tr.TotalRefs() {
 			t.Fatalf("hits+misses+upgrades = %d, want %d", got, tr.TotalRefs())
+		}
+
+		for _, policy := range []SchedulePolicy{FIFO, LongestFirst} {
+			for _, contexts := range []int{1, 2} {
+				dcfg := cfg
+				dcfg.MaxContexts = contexts
+				ref, rerr := RunDynamicGuarded(tr, dcfg, policy, ReferenceEngine, nil, Guard{})
+				fast, ferr := RunDynamicGuarded(tr, dcfg, policy, FastEngine, nil, Guard{})
+				if (rerr == nil) != (ferr == nil) {
+					t.Fatalf("%v/%dctx: engines disagree on validity: reference err %v, fast err %v", policy, contexts, rerr, ferr)
+				}
+				if rerr == nil && !reflect.DeepEqual(ref, fast) {
+					t.Fatalf("%v/%dctx: dynamic engines diverge: reference %+v vs fast %+v", policy, contexts, ref.Totals(), fast.Totals())
+				}
+			}
 		}
 	})
 }

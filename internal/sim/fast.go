@@ -11,19 +11,22 @@ import (
 // The fast engine: a semantically identical port of the reference machine
 // in engine.go, restructured for throughput.
 //
-//   - events live in a concrete 4-ary min-heap (heap4.go) instead of a
-//     container/heap with interface boxing;
+//   - a processor has at most one pending event, so the event queue is a
+//     P-slot next-event array scanned for its minimum instead of a
+//     container/heap with interface boxing and stale-entry skipping;
 //   - each processor's hardware contexts are a contiguous []context slab
 //     instead of a []*context of separately allocated nodes;
-//   - the cache indexes sets by mask and takes a single-way path when
-//     direct-mapped (fastcache.go);
+//   - the cache indexes sets by mask, takes a single-way path when
+//     direct-mapped, and allocates its line storage in pages on first
+//     fill (fastcache.go);
 //   - the directory stores entries in flat slabs with an arena-backed
 //     sharer bitmap, and sharer sets are gathered into a scratch buffer
 //     reused across transactions (fastdir.go).
 //
 // Every scheduling and accounting decision is kept line for line with the
-// reference engine; the differential suite in internal/core asserts the
-// two produce deeply equal Results over the whole application suite.
+// reference engine, static placements and dynamic self-scheduling alike;
+// the differential suite in internal/core asserts the two produce deeply
+// equal Results over the whole application suite.
 
 // fastProc is one simulated processor (fast engine).
 type fastProc struct {
@@ -32,7 +35,6 @@ type fastProc struct {
 	ctxs     []context
 	running  int
 	rr       int
-	seq      uint64
 	done     int
 	nextLoad int
 	// wake is the pending wake time while idle-waiting (running == -1
@@ -42,18 +44,21 @@ type fastProc struct {
 	stats ProcStats
 }
 
-// fastMachine is the whole simulated system (fast engine). It does not
-// implement dynamic self-scheduling; RunDynamic uses the reference
-// machine.
+// fastMachine is the whole simulated system (fast engine).
 type fastMachine struct {
-	cfg          Config
-	procs        []fastProc
-	dir          *fastDirectory
-	h            quadHeap
+	cfg   Config
+	procs []fastProc
+	dir   *fastDirectory
+	// next[p] is processor p's pending event time, or noEvent: the whole
+	// event queue (nextevent.go).
+	next         []uint64
 	pair         [][]uint64
 	threadFinish []uint64
 	wr           *writeRunTracker
 	channels     []uint64
+	// dynQueue holds the threads waiting for a free context under dynamic
+	// self-scheduling (RunDynamic); empty for static placements.
+	dynQueue []dynThread
 	// scratch is the reusable sharer buffer for invalidation and update
 	// fan-out; it grows to the maximum sharer count once and is then
 	// reused for every transaction.
@@ -83,11 +88,13 @@ func newFastMachine(tr *trace.Trace, pl *placement.Placement, cfg Config) (*fast
 		cfg:          cfg,
 		dir:          newFastDirectory(cfg.Processors),
 		procs:        make([]fastProc, cfg.Processors),
+		next:         make([]uint64, cfg.Processors),
 		pair:         make([][]uint64, cfg.Processors),
 		threadFinish: make([]uint64, tr.NumThreads()),
 	}
 	for i := range m.pair {
 		m.pair[i] = make([]uint64, cfg.Processors)
+		m.next[i] = noEvent
 	}
 	if cfg.TrackWriteRuns {
 		m.wr = newWriteRunTracker()
@@ -171,30 +178,31 @@ func (m *fastMachine) run(tr *trace.Trace, pl *placement.Placement) (*Result, er
 			m.scheduleNext(p, 0)
 		}
 	}
-	for m.h.len() > 0 {
-		if m.online != nil && m.h.a[0].time >= m.online.next {
+	for {
+		pid, t := m.earliest()
+		if pid < 0 {
+			break
+		}
+		if m.online != nil && t >= m.online.next {
 			// A detection boundary falls before the next event: process it
 			// without consuming the event.
 			m.onlineBoundary()
 			continue
 		}
-		ev := m.h.pop()
+		m.next[pid] = noEvent
 		if m.guard != nil && m.guard.tripped() {
 			meta := obs.RunMeta{App: tr.App, Algorithm: pl.Algorithm, Engine: FastEngine.String()}
-			return nil, m.guard.budgetError(meta, ev.time, m.h.len(), m.probe)
+			return nil, m.guard.budgetError(meta, t, m.pending(), m.probe)
 		}
-		p := &m.procs[ev.proc]
-		if ev.seq != p.seq {
-			continue
-		}
+		p := &m.procs[pid]
 		if m.probe != nil {
-			m.probe.QueueDepth(ev.time, m.h.len())
+			m.probe.QueueDepth(t, m.pending())
 		}
 		if p.running < 0 {
-			m.scheduleNext(p, ev.time)
+			m.scheduleNext(p, t)
 			continue
 		}
-		m.access(p, &p.ctxs[p.running], ev.time)
+		m.access(p, &p.ctxs[p.running], t)
 	}
 
 	res := &Result{
@@ -230,12 +238,26 @@ func (m *fastMachine) run(tr *trace.Trace, pl *placement.Placement) (*Result, er
 	return res, nil
 }
 
-// push schedules the processor's next action.
+// pullDynamic hands the processor the next queued thread, if any, in a
+// fresh hardware context (dynamic self-scheduling, see RunDynamic). The
+// slab's capacity was reserved for the whole queue at construction, so
+// the append never moves the slab and context pointers stay valid.
 //
 //mtlint:hotpath
-func (m *fastMachine) push(t uint64, p *fastProc) {
-	p.seq++
-	m.h.push(event{time: t, proc: p.id, seq: p.seq})
+func (m *fastMachine) pullDynamic(p *fastProc) {
+	if len(m.dynQueue) == 0 {
+		return
+	}
+	dt := m.dynQueue[0]
+	m.dynQueue = m.dynQueue[1:]
+	p.ctxs = append(p.ctxs, context{
+		idx:     int32(len(p.ctxs)),
+		thread:  dt.thread,
+		cur:     dt.cur,
+		pending: dt.pending,
+		state:   ctxReady,
+	})
+	p.nextLoad = len(p.ctxs)
 }
 
 // scheduleNext picks the next ready context round-robin and schedules its
@@ -512,6 +534,7 @@ func (m *fastMachine) completeHit(p *fastProc, c *context, t uint64) {
 	if m.probe != nil {
 		m.probe.ThreadFinish(done, p.id, c.thread)
 	}
+	m.pullDynamic(p)
 	m.admitNext(p)
 	if p.done == len(p.ctxs) {
 		p.running = -1
@@ -574,6 +597,7 @@ func (m *fastMachine) completeTransaction(p *fastProc, c *context, t uint64) {
 		if m.probe != nil {
 			m.probe.ThreadFinish(done, p.id, c.thread)
 		}
+		m.pullDynamic(p)
 		m.admitNext(p)
 	}
 	p.stats.Switch += m.cfg.SwitchCycles

@@ -7,6 +7,13 @@ package sim
 // and takes a single-way path for the direct-mapped configuration the
 // paper simulates, so the hit path performs no division, no slicing and
 // no allocation.
+//
+// Line storage is materialised in pages of pageSets whole sets, allocated
+// by the first fill that lands in a page. A run therefore pays only for
+// the sets its working set touches: the paper's 8 MB "infinite" caches
+// (Table 5) would otherwise zero 4 MB per processor per run. A page that
+// was never filled reads as all-invalid to lookup, invalidate and
+// setState, which is exactly what a zeroed page would read as.
 type fastCache struct {
 	lineShift uint
 	nsets     uint64
@@ -14,7 +21,10 @@ type fastCache struct {
 	// to modulo).
 	setMask uint64
 	ways    int
-	lines   []line
+	// pages[i] holds sets [i*pageSets, (i+1)*pageSets), ways lines per set
+	// in LRU order; nil until first filled. Pages hold whole sets because
+	// the associativity need not be a power of two.
+	pages [][]line
 
 	infinite  bool
 	infStates map[uint64]lineState
@@ -23,6 +33,13 @@ type fastCache struct {
 	// semantics to the reference cache.
 	gone map[uint64]goneReason
 }
+
+// pageSetShift sizes a cache page: 256 sets, 4 KB of lines when
+// direct-mapped.
+const (
+	pageSetShift = 8
+	pageSets     = 1 << pageSetShift
+)
 
 func (c *fastCache) init(cfg Config) {
 	c.lineShift = cfg.lineShift()
@@ -40,7 +57,18 @@ func (c *fastCache) init(cfg Config) {
 	if c.nsets&(c.nsets-1) == 0 {
 		c.setMask = c.nsets - 1
 	}
-	c.lines = make([]line, int(c.nsets)*c.ways)
+	c.pages = make([][]line, (c.nsets+pageSets-1)>>pageSetShift)
+}
+
+// materialize allocates page i on the first fill that lands in it. It is
+// the cache's only allocation after init and runs at most once per page
+// per run, so it stays off the per-event hot path.
+func (c *fastCache) materialize(i uint64) {
+	sets := c.nsets - i<<pageSetShift
+	if sets > pageSets {
+		sets = pageSets
+	}
+	c.pages[i] = make([]line, sets*uint64(c.ways))
 }
 
 //mtlint:hotpath
@@ -56,12 +84,42 @@ func (c *fastCache) setIndex(block uint64) uint64 {
 	return block % c.nsets
 }
 
-// set returns the ways of the block's set in LRU order.
+// set returns the ways of the block's set in LRU order, or nil when the
+// set's page was never filled (every way invalid).
 //
 //mtlint:hotpath
 func (c *fastCache) set(block uint64) []line {
 	s := c.setIndex(block)
-	return c.lines[s*uint64(c.ways) : (s+1)*uint64(c.ways)]
+	pg := c.pages[s>>pageSetShift]
+	if pg == nil {
+		return nil
+	}
+	off := (s & (pageSets - 1)) * uint64(c.ways)
+	return pg[off : off+uint64(c.ways)]
+}
+
+// line returns the block's line in a direct-mapped cache, or nil when its
+// page was never filled.
+//
+//mtlint:hotpath
+func (c *fastCache) line(block uint64) *line {
+	s := c.setIndex(block)
+	pg := c.pages[s>>pageSetShift]
+	if pg == nil {
+		return nil
+	}
+	return &pg[s&(pageSets-1)]
+}
+
+// fillSet is set for a fill: it materialises the set's page first.
+//
+//mtlint:hotpath
+func (c *fastCache) fillSet(block uint64) []line {
+	if set := c.set(block); set != nil {
+		return set
+	}
+	c.materialize(c.setIndex(block) >> pageSetShift)
+	return c.set(block)
 }
 
 // lookup returns the state of the block (invalid if absent) and promotes
@@ -73,8 +131,7 @@ func (c *fastCache) lookup(block uint64) lineState {
 		return c.infStates[block]
 	}
 	if c.ways == 1 {
-		l := &c.lines[c.setIndex(block)]
-		if l.state != invalid && l.tag == block {
+		if l := c.line(block); l != nil && l.state != invalid && l.tag == block {
 			return l.state
 		}
 		return invalid
@@ -128,8 +185,9 @@ func (c *fastCache) fill(block uint64, st lineState, ctx int32) (victim uint64, 
 		c.infStates[block] = st
 		return 0, false, false
 	}
+	set := c.fillSet(block)
 	if c.ways == 1 {
-		l := &c.lines[c.setIndex(block)]
+		l := &set[0]
 		if l.state != invalid {
 			victim = l.tag
 			dirty = l.state == modified
@@ -139,7 +197,6 @@ func (c *fastCache) fill(block uint64, st lineState, ctx int32) (victim uint64, 
 		*l = line{tag: block, state: st}
 		return victim, dirty, evicted
 	}
-	set := c.set(block)
 	way := -1
 	for i := range set {
 		if set[i].state == invalid {
@@ -171,8 +228,7 @@ func (c *fastCache) setState(block uint64, st lineState) {
 		return
 	}
 	if c.ways == 1 {
-		l := &c.lines[c.setIndex(block)]
-		if l.state != invalid && l.tag == block {
+		if l := c.line(block); l != nil && l.state != invalid && l.tag == block {
 			l.state = st
 			return
 		}
@@ -203,8 +259,7 @@ func (c *fastCache) invalidate(block uint64, byProc int32) (present, dirty bool)
 		return true, st == modified
 	}
 	if c.ways == 1 {
-		l := &c.lines[c.setIndex(block)]
-		if l.state != invalid && l.tag == block {
+		if l := c.line(block); l != nil && l.state != invalid && l.tag == block {
 			dirty = l.state == modified
 			l.state = invalid
 			c.gone[block] = goneReason{invalidated: true, by: byProc}

@@ -15,10 +15,11 @@ import (
 // The zero Guard imposes no bounds and adds no per-event cost beyond one
 // nil check.
 type Guard struct {
-	// MaxSteps aborts the run after that many simulated references have
-	// been issued. 0 means unlimited. A finite trace issues each reference
-	// exactly once per context activation, so any bound comfortably above
-	// the trace's total reference count only ever fires on livelock.
+	// MaxSteps aborts the run after that many events (issued references
+	// and idle wake-ups) have been processed. 0 means unlimited. A finite
+	// trace issues each reference exactly once per context activation, so
+	// any bound comfortably above the trace's total reference count only
+	// ever fires on livelock.
 	MaxSteps uint64
 	// Cancel, when non-nil, is polled periodically (every few thousand
 	// steps); once it reads true the run aborts. Setting it from another
@@ -75,11 +76,14 @@ type BudgetError struct {
 	App, Algorithm string
 	// Engine is "fast" or "reference".
 	Engine string
-	// Steps is the number of references issued before the abort.
+	// Steps is the number of events processed before the abort: issued
+	// references plus idle wake-ups. On online runs the reference engine
+	// also counts the superseded wake entries it skips.
 	Steps uint64
 	// Cycle is the simulated time of the last processed event.
 	Cycle uint64
-	// Queue is the event-queue depth at abort.
+	// Queue is the number of processors with a pending event at abort
+	// (see obs.Probe.QueueDepth).
 	Queue int
 	// Canceled is true when the guard's Cancel flag (not the step budget)
 	// stopped the run.
@@ -132,20 +136,6 @@ func RunGuarded(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine
 	default:
 		return nil, fmt.Errorf("sim: unknown engine %d", eng)
 	}
-}
-
-// RunDynamicGuarded is RunDynamicObserved with a watchdog attached (see
-// RunGuarded). Dynamic schedules are where the watchdog earns its keep:
-// the online scheduler's feedback loop is the one place a bad
-// configuration can livelock rather than merely finish slowly.
-func RunDynamicGuarded(tr *trace.Trace, cfg Config, policy SchedulePolicy, probe obs.Probe, guard Guard) (*Result, error) {
-	m, pl, err := newDynamicMachine(tr, cfg, policy)
-	if err != nil {
-		return nil, err
-	}
-	m.probe = probe
-	m.guard = newGuardState(guard)
-	return m.run(tr, pl, 0)
 }
 
 // fastFault, when set, mutates the fast engine's Result just before it is

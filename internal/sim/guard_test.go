@@ -133,18 +133,23 @@ func TestGuardDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guarded, err := RunDynamicGuarded(tr, cfg, FIFO, nil, Guard{MaxSteps: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, guarded) {
-		t.Error("guarded dynamic result differs from plain run")
-	}
+	for _, eng := range []Engine{FastEngine, ReferenceEngine} {
+		guarded, err := RunDynamicGuarded(tr, cfg, FIFO, eng, nil, Guard{MaxSteps: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, guarded) {
+			t.Errorf("%s: guarded dynamic result differs from plain run", eng)
+		}
 
-	_, err = RunDynamicGuarded(tr, cfg, FIFO, nil, Guard{MaxSteps: 50})
-	var be *BudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("dynamic budget abort: got %v, want *BudgetError", err)
+		_, err = RunDynamicGuarded(tr, cfg, FIFO, eng, nil, Guard{MaxSteps: 50})
+		var be *BudgetError
+		if !errors.As(err, &be) {
+			t.Fatalf("%s: dynamic budget abort: got %v, want *BudgetError", eng, err)
+		}
+		if be.Steps != 51 || be.Engine != eng.String() {
+			t.Errorf("dynamic budget abort: %d steps on %s, want 51 on %s", be.Steps, be.Engine, eng)
+		}
 	}
 }
 

@@ -113,52 +113,59 @@ func TestQuickEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestQuickHeapOrderInvariance: the fast engine's quadHeap pops events in
-// the same (time, proc) order as the reference container/heap regardless
-// of insertion order, so results cannot depend on how the event queue was
-// built.
-func TestQuickHeapOrderInvariance(t *testing.T) {
+// TestQuickNextEventOrder: the fast engine's next-event array pops
+// processors in exactly the order the reference engine's eventHeap does,
+// seq-based stale skipping included. Random schedules cover up to 64
+// processors, processors rescheduling themselves after each pop, and
+// pending events overwritten by a later push (as an online boundary
+// replaces a pending wake); narrow time ranges force plenty of
+// (time, proc) ties.
+func TestQuickNextEventOrder(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(200)
-		events := make([]event, n)
-		for i := range events {
-			// Narrow ranges force plenty of (time, proc) ties.
-			events[i] = event{
-				time: uint64(rng.Intn(16)),
-				proc: rng.Intn(4),
-				seq:  uint64(rng.Intn(8)),
-			}
-		}
-
+		procs := 1 + rng.Intn(64)
+		m := &fastMachine{procs: make([]fastProc, procs), next: make([]uint64, procs)}
+		seqs := make([]uint64, procs)
 		var ref eventHeap
-		for _, e := range events {
-			heap.Push(&ref, e)
+		push := func(at uint64, pid int) {
+			m.push(at, &m.procs[pid])
+			seqs[pid]++
+			heap.Push(&ref, event{time: at, proc: pid, seq: seqs[pid]})
 		}
-		// Insert the same multiset into two quadHeaps in different orders.
-		var a, b quadHeap
-		for _, e := range events {
-			a.push(e)
-		}
-		for _, i := range rng.Perm(n) {
-			b.push(events[i])
-		}
-
-		for i := 0; i < n; i++ {
-			re := heap.Pop(&ref).(event)
-			ae, be := a.pop(), b.pop()
-			// Events tied on (time, proc) are mutually interchangeable;
-			// only the (time, proc) sequence is observable.
-			if ae.time != re.time || ae.proc != re.proc {
-				t.Logf("seed %d pop %d: quadHeap (%d,%d) vs reference (%d,%d)", seed, i, ae.time, ae.proc, re.time, re.proc)
-				return false
-			}
-			if be.time != re.time || be.proc != re.proc {
-				t.Logf("seed %d pop %d: insertion order changed pop order", seed, i)
-				return false
+		for i := range m.procs {
+			m.procs[i].id = i
+			m.next[i] = noEvent
+			if rng.Intn(4) != 0 {
+				push(uint64(rng.Intn(8)), i)
 			}
 		}
-		return a.len() == 0 && b.len() == 0
+		for pops := 0; ; pops++ {
+			pid, at := m.earliest()
+			var re event
+			fresh := false
+			for ref.Len() > 0 && !fresh {
+				re = heap.Pop(&ref).(event)
+				fresh = re.seq == seqs[re.proc]
+			}
+			if pid < 0 || !fresh {
+				if pid >= 0 || fresh {
+					t.Logf("seed %d pop %d: array empty %v, reference empty %v", seed, pops, pid < 0, !fresh)
+					return false
+				}
+				return true
+			}
+			if re.time != at || re.proc != pid {
+				t.Logf("seed %d pop %d: array (%d,%d) vs reference (%d,%d)", seed, pops, at, pid, re.time, re.proc)
+				return false
+			}
+			m.next[pid] = noEvent
+			if pops < 400 && rng.Intn(8) != 0 {
+				push(at+uint64(rng.Intn(4)), pid)
+			}
+			if pops < 400 && rng.Intn(4) == 0 {
+				push(at+uint64(rng.Intn(6)), rng.Intn(procs))
+			}
+		}
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
