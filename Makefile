@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test verify lint racecheck bench benchsim benchserve benchcluster benchadvise fuzz golden faultcheck servecheck clustercheck tracecheck storecheck advisecheck
+.PHONY: build test verify lint racecheck bench benchsim benchserve benchcluster benchadvise fuzz golden faultcheck servecheck clustercheck tracecheck storecheck advisecheck prepcheck
 
 build:
 	$(GO) build ./...
@@ -106,6 +106,19 @@ storecheck:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# Cold-path preparation tier (DESIGN.md §12, §13): the analysis
+# differentials (grouped sharing matrices vs the per-address reference
+# and the pairwise merge oracle on every application and on random
+# traces, CSR index invariants), the placement differentials (candidate
+# heap vs the full-sort reference, every algorithm x application x
+# {2,4,8,16}), the concurrent per-application once-cells, and a one-shot
+# run of the preparation benchmarks.
+prepcheck:
+	$(GO) test ./internal/analysis
+	$(GO) test ./internal/placement -run 'TestCandidateHeapMatchesFullSort|TestPlacementMatchesFullSortReference'
+	$(GO) test ./internal/core -run 'TestPrepConcurrent|TestSuiteCaching|TestPlacementMemoized'
+	$(GO) test -run '^$$' -bench 'AnalyzeGauss|PlaceShareRefsGauss|PrepAllApps' -benchtime 1x .
 
 # Online adaptive placement tier (DESIGN.md §16): the advisor package
 # (ONLINE name grammar, policies, recommendation math), the engines'

@@ -343,16 +343,11 @@ func BenchmarkEngineDynamic(b *testing.B) {
 }
 
 // BenchmarkAnalyzeGauss measures the static trace analysis plus sharing-
-// matrix construction on the largest-thread-count application.
+// matrix construction on the largest-thread-count application. refs/s is
+// trace references analyzed per second of wall time.
 func BenchmarkAnalyzeGauss(b *testing.B) {
-	app, err := workload.ByName("Gauss")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := app.Build(workload.DefaultParams())
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := benchTrace(b, "Gauss")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		set := Analyze(tr)
@@ -360,26 +355,77 @@ func BenchmarkAnalyzeGauss(b *testing.B) {
 			b.Fatal("bad analysis")
 		}
 	}
+	b.ReportMetric(float64(tr.TotalRefs())*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 }
 
 // BenchmarkPlaceShareRefsGauss measures the SHARE-REFS clustering on the
-// 127-thread application — the placement algorithms' worst case.
+// 127-thread application — the placement algorithms' worst case. refs/s
+// is the application's trace references placed per second of wall time.
 func BenchmarkPlaceShareRefsGauss(b *testing.B) {
 	s := benchSuite()
 	d, err := s.Sharing("Gauss")
 	if err != nil {
 		b.Fatal(err)
 	}
+	tr := benchTrace(b, "Gauss")
 	alg, err := placement.ByName("SHARE-REFS")
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := alg.Place(d, 8, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(tr.TotalRefs())*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
+}
+
+// BenchmarkPrepAllApps times the preparation a cold mtserve cell pays
+// before the engine, over all fourteen applications: Analyze, Sharing,
+// then the SHARE-REFS and LOAD-BAL placements at 8 processors. Traces
+// are built outside the timed loop. refs/s is trace references prepared
+// per second of wall time.
+func BenchmarkPrepAllApps(b *testing.B) {
+	var traces []*trace.Trace
+	var refs uint64
+	for _, a := range workload.Apps() {
+		tr := benchTrace(b, a.Name)
+		traces = append(traces, tr)
+		refs += tr.TotalRefs()
+	}
+	algs := make([]placement.Algorithm, 0, 2)
+	for _, name := range []string{"SHARE-REFS", "LOAD-BAL"} {
+		alg, err := placement.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		algs = append(algs, alg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tr := range traces {
+			d := Analyze(tr).Sharing()
+			for _, alg := range algs {
+				if _, err := alg.Place(d, 8, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(refs)*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
+}
+
+// benchTrace returns the shared suite's trace of app.
+func benchTrace(b *testing.B, app string) *trace.Trace {
+	b.Helper()
+	tr, err := benchSuite().Trace(app)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr
 }
 
 // BenchmarkWorkloadGeneration measures end-to-end trace generation for the

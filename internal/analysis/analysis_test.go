@@ -35,7 +35,7 @@ func TestProfileThread(t *testing.T) {
 		{Gap: 0, Kind: trace.Read, Addr: pv(0)},
 		{Gap: 0, Kind: trace.Write, Addr: pv(1)},
 	}})
-	p := ProfileThread(tr.Threads[0])
+	p := Analyze(tr).Profiles[0]
 	if p.TotalRefs != 5 {
 		t.Errorf("TotalRefs = %d, want 5", p.TotalRefs)
 	}
@@ -48,8 +48,8 @@ func TestProfileThread(t *testing.T) {
 	if p.PrivateAddrs != 2 {
 		t.Errorf("PrivateAddrs = %d, want 2", p.PrivateAddrs)
 	}
-	if got := p.Shared[sh(0)]; got != (RefCount{Reads: 1, Writes: 1}) {
-		t.Errorf("counts for sh(0) = %+v", got)
+	if got, want := p.Shared[0], (AddrRefs{Addr: sh(0), RefCount: RefCount{Reads: 1, Writes: 1}}); got != want {
+		t.Errorf("Shared[0] = %+v, want %+v", got, want)
 	}
 	if got, want := p.RefsPerSharedAddr(), 1.5; got != want {
 		t.Errorf("RefsPerSharedAddr = %v, want %v", got, want)
@@ -111,8 +111,9 @@ func TestSharingMatrices(t *testing.T) {
 	}
 }
 
-// TestSharingMatchesPairOracle cross-checks the inverted-index computation
-// against the direct pairwise intersection on random traces.
+// TestSharingMatchesPairOracle cross-checks all four matrices of the
+// grouped computation against a direct pairwise intersection of the two
+// threads' sorted profiles on random traces.
 func TestSharingMatchesPairOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 5; trial++ {
@@ -136,8 +137,9 @@ func TestSharingMatchesPairOracle(t *testing.T) {
 		d := s.Sharing()
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
-				if got, want := d.SharedRefs[a][b], s.PairSharedRefs(a, b); got != want {
-					t.Fatalf("trial %d: SharedRefs[%d][%d] = %d, oracle %d", trial, a, b, got, want)
+				got := pairCounts{d.SharedRefs[a][b], d.SharedAddrs[a][b], d.WriteSharedRefs[a][b], d.InvalidatingRefs[a][b]}
+				if want := pairSharing(s, a, b); got != want {
+					t.Fatalf("trial %d: pair (%d,%d) = %+v, oracle %+v", trial, a, b, got, want)
 				}
 			}
 		}
@@ -145,10 +147,9 @@ func TestSharingMatchesPairOracle(t *testing.T) {
 }
 
 // TestInvertedIndexCanonical locks the inverted index's ordering
-// invariant: every address's user list is sorted by thread ID (the
-// construction is profile-major), independent of map iteration order.
-// mtlint's determinism analyzer enforces the sorted-key construction
-// statically; this is the runtime half of that contract.
+// invariant: every address's sharer list is ascending by thread ID (the
+// CSR index is filled thread-major), and every profile entry appears in
+// exactly one sharer list under its interned address.
 func TestInvertedIndexCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1994))
 	n := 6
@@ -160,17 +161,31 @@ func TestInvertedIndexCanonical(t *testing.T) {
 		}
 	}
 	s := Analyze(tr)
-	idx := s.invertedIndex()
-	if len(idx) == 0 {
+	x := &s.idx
+	if len(x.addrs) == 0 {
 		t.Fatal("empty inverted index")
 	}
-	for addr, users := range idx {
+	entries := 0
+	for id, addr := range x.addrs {
+		users := x.sharers(id)
 		for i := 1; i < len(users); i++ {
 			if users[i-1].thread >= users[i].thread {
 				t.Fatalf("addr %#x: users not in ascending thread order: %d then %d",
 					addr, users[i-1].thread, users[i].thread)
 			}
 		}
+		for _, u := range users {
+			if got := refsOf(s.Profiles[u.thread], addr); got != u.count {
+				t.Fatalf("addr %#x thread %d: index %+v, profile %+v", addr, u.thread, u.count, got)
+			}
+		}
+		entries += len(users)
+	}
+	for _, p := range s.Profiles {
+		entries -= len(p.Shared)
+	}
+	if entries != 0 {
+		t.Fatalf("index and profiles disagree on the number of (thread, address) entries by %d", entries)
 	}
 }
 

@@ -53,25 +53,23 @@ func (s *Set) FalseSharing(lineSize int) FalseSharingReport {
 	}
 	lines := make(map[uint64]*lineInfo)
 	for _, p := range s.Profiles {
-		for addr, rc := range p.Shared {
-			block := addr >> shift
+		for _, a := range p.Shared {
+			block := a.Addr >> shift
 			li := lines[block]
 			if li == nil {
 				li = &lineInfo{threads: make(map[int]struct{})}
 				lines[block] = li
 			}
 			li.threads[p.Thread] = struct{}{}
-			li.refs += rc.Total()
-			r.SharedSegmentRefs += rc.Total()
+			li.refs += a.Total()
+			r.SharedSegmentRefs += a.Total()
 		}
 	}
 	// Second pass: a word touched by >= 2 threads marks its line as
 	// truly shared.
-	for addr, users := range s.invertedIndex() {
-		if len(users) >= 2 {
-			if li := lines[addr>>shift]; li != nil {
-				li.trueWord = true
-			}
+	for id, addr := range s.idx.addrs {
+		if len(s.idx.sharers(id)) >= 2 {
+			lines[addr>>shift].trueWord = true
 		}
 	}
 	for _, li := range lines {

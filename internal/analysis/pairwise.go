@@ -1,5 +1,7 @@
 package analysis
 
+import "encoding/binary"
+
 // Pairwise sharing matrices. All matrices are symmetric with zero
 // diagonals, indexed by thread ID.
 
@@ -41,9 +43,54 @@ func newMatrix(n int) [][]uint64 {
 	return m
 }
 
-// Sharing computes the full SharingData for the set. The computation walks
-// the inverted shared-address index once: an address used by k threads
-// contributes to k·(k-1)/2 pairs.
+// signature groups the shared addresses that have the same sharers, each
+// with the same writer flag. Every matrix entry is a sum over addresses
+// that is linear within a signature, so the pair loop runs once per
+// group on per-sharer sums instead of once per address.
+type signature struct {
+	sharers []addrUse // representative row: thread order and writer flags
+	addrs   uint64    // addresses in the group
+	refs    []uint64  // per sharer position: total references
+	writes  []uint64  // per sharer position: writes
+}
+
+// signatures groups every address with two or more sharers, in order of
+// first appearance in the index.
+func (x *sharerIndex) signatures() []*signature {
+	var groups []*signature
+	bySig := make(map[string]*signature)
+	var key []byte
+	for id := range x.addrs {
+		users := x.sharers(id)
+		if len(users) < 2 {
+			continue
+		}
+		key = key[:0]
+		for _, u := range users {
+			w := uint64(0)
+			if u.count.Writes > 0 {
+				w = 1
+			}
+			key = binary.AppendUvarint(key, uint64(u.thread)<<1|w)
+		}
+		g := bySig[string(key)]
+		if g == nil {
+			g = &signature{sharers: users, refs: make([]uint64, len(users)), writes: make([]uint64, len(users))}
+			bySig[string(key)] = g
+			groups = append(groups, g)
+		}
+		g.addrs++
+		for k, u := range users {
+			g.refs[k] += u.count.Total()
+			g.writes[k] += uint64(u.count.Writes)
+		}
+	}
+	return groups
+}
+
+// Sharing computes the full SharingData for the set. An address used by k
+// threads contributes to k·(k-1)/2 pairs; addresses are grouped by
+// signature first, so the pair loop runs once per signature.
 func (s *Set) Sharing() *SharingData {
 	n := len(s.Profiles)
 	d := &SharingData{
@@ -55,43 +102,30 @@ func (s *Set) Sharing() *SharingData {
 		PrivateAddrs:     s.PrivateAddrs(),
 		Lengths:          s.Lengths(),
 	}
-	for _, users := range s.invertedIndex() {
-		for i := 0; i < len(users); i++ {
-			for j := i + 1; j < len(users); j++ {
-				a, b := users[i], users[j]
-				refs := a.count.Total() + b.count.Total()
-				d.SharedRefs[a.thread][b.thread] += refs
-				d.SharedRefs[b.thread][a.thread] += refs
-				d.SharedAddrs[a.thread][b.thread]++
-				d.SharedAddrs[b.thread][a.thread]++
+	// Accumulate the upper triangle (sharers ascend by thread), then
+	// mirror it.
+	for _, g := range s.idx.signatures() {
+		for i, a := range g.sharers {
+			refsA, addrsA := d.SharedRefs[a.thread], d.SharedAddrs[a.thread]
+			writeA, invA := d.WriteSharedRefs[a.thread], d.InvalidatingRefs[a.thread]
+			for j := i + 1; j < len(g.sharers); j++ {
+				b := g.sharers[j]
+				refs := g.refs[i] + g.refs[j]
+				refsA[b.thread] += refs
+				addrsA[b.thread] += g.addrs
 				if a.count.Writes > 0 || b.count.Writes > 0 {
-					d.WriteSharedRefs[a.thread][b.thread] += refs
-					d.WriteSharedRefs[b.thread][a.thread] += refs
+					writeA[b.thread] += refs
 				}
-				if w := uint64(a.count.Writes) + uint64(b.count.Writes); w > 0 {
-					d.InvalidatingRefs[a.thread][b.thread] += w
-					d.InvalidatingRefs[b.thread][a.thread] += w
-				}
+				invA[b.thread] += g.writes[i] + g.writes[j]
+			}
+		}
+	}
+	for _, m := range [][][]uint64{d.SharedRefs, d.SharedAddrs, d.WriteSharedRefs, d.InvalidatingRefs} {
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				m[b][a] = m[a][b]
 			}
 		}
 	}
 	return d
-}
-
-// PairSharedRefs returns shared-references(a, b) directly from the
-// profiles, without building the full matrix. Used by tests as an
-// independent oracle for Sharing.
-func (s *Set) PairSharedRefs(a, b int) uint64 {
-	pa, pb := s.Profiles[a], s.Profiles[b]
-	// iterate the smaller footprint
-	if len(pb.Shared) < len(pa.Shared) {
-		pa, pb = pb, pa
-	}
-	var total uint64
-	for addr, ca := range pa.Shared {
-		if cb, ok := pb.Shared[addr]; ok {
-			total += ca.Total() + cb.Total()
-		}
-	}
-	return total
 }

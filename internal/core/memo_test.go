@@ -4,7 +4,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // TestPlacementMemoized: Place returns the identical *Placement for
@@ -80,5 +82,56 @@ func TestMemoizationConcurrent(t *testing.T) {
 		if results[i] != results[0] {
 			t.Fatalf("goroutine %d observed a different result pointer", i)
 		}
+	}
+}
+
+// TestPrepConcurrent: eight goroutines race Place and Sharing over four
+// applications on a fresh suite. Each application resolves to one
+// pointer-identical *SharingData, however the preparations interleave,
+// and unknown application names leave no cell behind.
+func TestPrepConcurrent(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Params = workload.Params{Scale: 0.25, Seed: 1994}
+	s := NewSuite(opts)
+	apps := []string{"Water", "MP3D", "Cholesky", "FFT"}
+	const workers = 8
+	seen := make([][]*analysis.SharingData, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			seen[w] = make([]*analysis.SharingData, len(apps))
+			for k := range apps {
+				i := (w + k) % len(apps)
+				if _, err := s.Place(apps[i], "SHARE-REFS", 4); err != nil {
+					t.Error(err)
+					return
+				}
+				d, err := s.Sharing(apps[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen[w][i] = d
+			}
+			if _, err := s.Sharing("NoSuchApp"); err == nil {
+				t.Error("unknown application resolved")
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, app := range apps {
+		for w := 1; w < workers; w++ {
+			if seen[w][i] != seen[0][i] {
+				t.Fatalf("%s: goroutine %d resolved a different *SharingData", app, w)
+			}
+		}
+	}
+	if n := len(s.apps); n != len(apps) {
+		t.Errorf("suite holds %d application cells, want %d", n, len(apps))
 	}
 }

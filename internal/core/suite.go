@@ -58,13 +58,48 @@ func DefaultOptions() Options {
 type Suite struct {
 	opts Options
 
-	mu        sync.Mutex
-	traces    map[string]*trace.Trace
-	sets      map[string]*analysis.Set
-	sharing   map[string]*analysis.SharingData
-	coherence map[string]*coherenceEntry
-	places    map[placeKey]*placeCell
-	sims      map[simKey]*simCell
+	mu     sync.Mutex
+	apps   map[string]*appCell
+	places map[placeKey]*onceCell[*placement.Placement]
+	sims   map[simKey]*onceCell[*sim.Result]
+}
+
+// onceCell is a once-guarded computation: concurrent requests for the
+// same cell compute it exactly once, and the suite lock is held only to
+// find or create the cell, never across the (potentially expensive)
+// computation.
+type onceCell[T any] struct {
+	once sync.Once
+	v    T
+	err  error
+}
+
+func (c *onceCell[T]) get(f func() (T, error)) (T, error) {
+	c.once.Do(func() { c.v, c.err = f() })
+	return c.v, c.err
+}
+
+// cellFor returns m's cell for k, creating it under mu.
+func cellFor[K comparable, T any](mu *sync.Mutex, m map[K]*onceCell[T], k K) *onceCell[T] {
+	mu.Lock()
+	defer mu.Unlock()
+	c, ok := m[k]
+	if !ok {
+		c = &onceCell[T]{}
+		m[k] = c
+	}
+	return c
+}
+
+// appCell holds one application's preparation stages, each its own
+// once-cell, so preparing one application never blocks callers that
+// need another.
+type appCell struct {
+	app       workload.App
+	trace     onceCell[*trace.Trace]
+	set       onceCell[*analysis.Set]
+	sharing   onceCell[*analysis.SharingData]
+	coherence onceCell[coherenceEntry]
 }
 
 type coherenceEntry struct {
@@ -80,15 +115,6 @@ type placeKey struct {
 	procs    int
 }
 
-// placeCell is a once-guarded placement computation, so concurrent
-// requests for the same cell compute it exactly once without holding the
-// suite lock across the (potentially expensive) clustering.
-type placeCell struct {
-	once sync.Once
-	pl   *placement.Placement
-	err  error
-}
-
 // simKey identifies one memoized simulation: the application, the exact
 // placement (algorithm name plus every cluster's thread list — an exact
 // encoding, not a lossy hash) and the full simulator configuration
@@ -98,13 +124,6 @@ type simKey struct {
 	app       string
 	placement string
 	cfg       sim.Config
-}
-
-// simCell is a once-guarded simulation, the same discipline as placeCell.
-type simCell struct {
-	once sync.Once
-	res  *sim.Result
-	err  error
 }
 
 // PlacementKey encodes a placement exactly (collision-free): the
@@ -136,13 +155,10 @@ func NewSuite(opts Options) *Suite {
 		opts.Parallelism = runtime.NumCPU()
 	}
 	return &Suite{
-		opts:      opts,
-		traces:    make(map[string]*trace.Trace),
-		sets:      make(map[string]*analysis.Set),
-		sharing:   make(map[string]*analysis.SharingData),
-		coherence: make(map[string]*coherenceEntry),
-		places:    make(map[placeKey]*placeCell),
-		sims:      make(map[simKey]*simCell),
+		opts:   opts,
+		apps:   make(map[string]*appCell),
+		places: make(map[placeKey]*onceCell[*placement.Placement]),
+		sims:   make(map[simKey]*onceCell[*sim.Result]),
 	}
 }
 
@@ -169,66 +185,76 @@ func (s *Suite) dynRun(tr *trace.Trace, cfg sim.Config, policy sim.SchedulePolic
 	return sim.RunDynamic(tr, cfg, policy)
 }
 
-// Trace returns the application's (cached) trace.
-func (s *Suite) Trace(app string) (*trace.Trace, error) {
+// app returns the application's cell, creating it for a known name.
+func (s *Suite) app(name string) (*appCell, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.traceLocked(app)
+	if c, ok := s.apps[name]; ok {
+		return c, nil
+	}
+	a, err := workload.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	c := &appCell{app: a}
+	s.apps[name] = c
+	return c, nil
 }
 
-func (s *Suite) traceLocked(app string) (*trace.Trace, error) {
-	if tr, ok := s.traces[app]; ok {
+// Trace returns the application's (cached) trace.
+func (s *Suite) Trace(app string) (*trace.Trace, error) {
+	c, err := s.app(app)
+	if err != nil {
+		return nil, err
+	}
+	return s.trace(c)
+}
+
+func (s *Suite) trace(c *appCell) (*trace.Trace, error) {
+	return c.trace.get(func() (*trace.Trace, error) {
+		tr, err := c.app.Build(s.opts.Params)
+		if err != nil {
+			return nil, err
+		}
+		// Warm the lazily computed per-thread totals so the trace is
+		// strictly read-only during concurrent simulation.
+		tr.TotalInstructions()
 		return tr, nil
-	}
-	a, err := workload.ByName(app)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := a.Build(s.opts.Params)
-	if err != nil {
-		return nil, err
-	}
-	// Warm the lazily computed per-thread totals so the trace is
-	// strictly read-only during concurrent simulation.
-	tr.TotalInstructions()
-	s.traces[app] = tr
-	return tr, nil
+	})
 }
 
 // Set returns the application's (cached) static analysis.
 func (s *Suite) Set(app string) (*analysis.Set, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.setLocked(app)
-}
-
-func (s *Suite) setLocked(app string) (*analysis.Set, error) {
-	if set, ok := s.sets[app]; ok {
-		return set, nil
-	}
-	tr, err := s.traceLocked(app)
+	c, err := s.app(app)
 	if err != nil {
 		return nil, err
 	}
-	set := analysis.Analyze(tr)
-	s.sets[app] = set
-	return set, nil
+	return s.set(c)
+}
+
+func (s *Suite) set(c *appCell) (*analysis.Set, error) {
+	return c.set.get(func() (*analysis.Set, error) {
+		tr, err := s.trace(c)
+		if err != nil {
+			return nil, err
+		}
+		return analysis.Analyze(tr), nil
+	})
 }
 
 // Sharing returns the application's (cached) pairwise sharing data.
 func (s *Suite) Sharing(app string) (*analysis.SharingData, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d, ok := s.sharing[app]; ok {
-		return d, nil
-	}
-	set, err := s.setLocked(app)
+	c, err := s.app(app)
 	if err != nil {
 		return nil, err
 	}
-	d := set.Sharing()
-	s.sharing[app] = d
-	return d, nil
+	return c.sharing.get(func() (*analysis.SharingData, error) {
+		set, err := s.set(c)
+		if err != nil {
+			return nil, err
+		}
+		return set.Sharing(), nil
+	})
 }
 
 // Config returns the simulator configuration the paper would use for this
@@ -259,28 +285,18 @@ func (s *Suite) randomSeed(app string, procs int) int64 {
 // memoized per (app, algorithm, procs). The returned placement is shared;
 // treat it as read-only.
 func (s *Suite) Place(app, alg string, procs int) (*placement.Placement, error) {
-	key := placeKey{app: app, alg: alg, procs: procs}
-	s.mu.Lock()
-	cell, ok := s.places[key]
-	if !ok {
-		cell = &placeCell{}
-		s.places[key] = cell
-	}
-	s.mu.Unlock()
-	cell.once.Do(func() {
+	cell := cellFor(&s.mu, s.places, placeKey{app: app, alg: alg, procs: procs})
+	return cell.get(func() (*placement.Placement, error) {
 		d, err := s.Sharing(app)
 		if err != nil {
-			cell.err = err
-			return
+			return nil, err
 		}
 		a, err := placement.ByName(alg)
 		if err != nil {
-			cell.err = err
-			return
+			return nil, err
 		}
-		cell.pl, cell.err = a.Place(d, procs, s.randomSeed(app, procs))
+		return a.Place(d, procs, s.randomSeed(app, procs))
 	})
-	return cell.pl, cell.err
 }
 
 // RunOne simulates one (application, algorithm, processors) cell.
@@ -305,18 +321,8 @@ func (s *Suite) runPlacement(app string, pl *placement.Placement, procs int, inf
 	if err != nil {
 		return nil, err
 	}
-	key := simKey{app: app, placement: PlacementKey(pl), cfg: cfg}
-	s.mu.Lock()
-	cell, ok := s.sims[key]
-	if !ok {
-		cell = &simCell{}
-		s.sims[key] = cell
-	}
-	s.mu.Unlock()
-	cell.once.Do(func() {
-		cell.res, cell.err = s.simRun(tr, pl, cfg)
-	})
-	return cell.res, cell.err
+	cell := cellFor(&s.mu, s.sims, simKey{app: app, placement: PlacementKey(pl), cfg: cfg})
+	return cell.get(func() (*sim.Result, error) { return s.simRun(tr, pl, cfg) })
 }
 
 // AlgResult pairs an algorithm name with its simulation result.
@@ -358,37 +364,32 @@ func (s *Suite) RunAlgorithms(app string, algs []string, procs int, infinite boo
 // processor pairs equals traffic between thread pairs. The result is
 // cached.
 func (s *Suite) CoherenceMeasurement(app string) ([][]uint64, *sim.Result, error) {
-	s.mu.Lock()
-	if e, ok := s.coherence[app]; ok {
-		s.mu.Unlock()
-		return e.matrix, e.result, nil
-	}
-	s.mu.Unlock()
-
-	tr, err := s.Trace(app)
+	c, err := s.app(app)
 	if err != nil {
 		return nil, nil, err
 	}
-	n := tr.NumThreads()
-	clusters := make([][]int, n)
-	for i := range clusters {
-		clusters[i] = []int{i}
-	}
-	pl := &placement.Placement{Algorithm: "ONE-THREAD-PER-PROC", Clusters: clusters}
-	cfg, err := s.Config(app, n, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := s.simRun(tr, pl, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	matrix := res.PairTrafficSym()
-
-	s.mu.Lock()
-	s.coherence[app] = &coherenceEntry{matrix: matrix, result: res}
-	s.mu.Unlock()
-	return matrix, res, nil
+	e, err := c.coherence.get(func() (coherenceEntry, error) {
+		tr, err := s.trace(c)
+		if err != nil {
+			return coherenceEntry{}, err
+		}
+		n := tr.NumThreads()
+		clusters := make([][]int, n)
+		for i := range clusters {
+			clusters[i] = []int{i}
+		}
+		pl := &placement.Placement{Algorithm: "ONE-THREAD-PER-PROC", Clusters: clusters}
+		cfg, err := s.Config(app, n, false)
+		if err != nil {
+			return coherenceEntry{}, err
+		}
+		res, err := s.simRun(tr, pl, cfg)
+		if err != nil {
+			return coherenceEntry{}, err
+		}
+		return coherenceEntry{matrix: res.PairTrafficSym(), result: res}, nil
+	})
+	return e.matrix, e.result, err
 }
 
 // RunCoherencePlacement simulates the dynamic COHERENCE placement (§4.2):

@@ -145,38 +145,79 @@ func checkCounts(t, p int) error {
 	return nil
 }
 
-// candidate is a scored cluster pair.
+// candidate is a scored cluster pair: positions i, j in the cluster list
+// and the clusters' immutable IDs.
 type candidate struct {
-	i, j int
-	p, s float64
+	i, j     int
+	idi, idj int
+	p, s     float64
 }
 
-// rankCandidates scores every cluster pair and sorts best-first.
-// Ties break deterministically on the clusters' immutable IDs.
-func rankCandidates(s *scorer, clusters []clus) []candidate {
-	cands := make([]candidate, 0, len(clusters)*(len(clusters)-1)/2)
+// better orders candidates best-first: higher primary, then higher
+// secondary, then lower cluster IDs. IDs are unique per pair, so this is
+// a strict total order and the ranking is deterministic.
+func (a candidate) better(b candidate) bool {
+	if a.p != b.p {
+		return a.p > b.p
+	}
+	if a.s != b.s {
+		return a.s > b.s
+	}
+	if a.idi != b.idi {
+		return a.idi < b.idi
+	}
+	return a.idj < b.idj
+}
+
+// candidateHeap yields the scored cluster pairs of one merge round
+// best-first. Building it is O(m²) for m clusters; a round usually takes
+// the first candidate, so popping lazily avoids sorting all of them.
+type candidateHeap []candidate
+
+// candidates scores every cluster pair into a heap, reusing h's storage.
+func (s *scorer) candidates(h candidateHeap, clusters []clus) candidateHeap {
+	h = h[:0]
 	for i := 0; i < len(clusters); i++ {
 		for j := i + 1; j < len(clusters); j++ {
 			p, sec := s.score(clusters[i], clusters[j])
-			cands = append(cands, candidate{i: i, j: j, p: p, s: sec})
+			h = append(h, candidate{i: i, j: j, idi: clusters[i].id, idj: clusters[j].id, p: p, s: sec})
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		ca, cb := cands[a], cands[b]
-		if ca.p != cb.p {
-			return ca.p > cb.p
+	for k := len(h)/2 - 1; k >= 0; k-- {
+		h.down(k)
+	}
+	return h
+}
+
+// pop removes and returns the best remaining candidate.
+func (h *candidateHeap) pop() (candidate, bool) {
+	old := *h
+	if len(old) == 0 {
+		return candidate{}, false
+	}
+	best := old[0]
+	last := len(old) - 1
+	old[0] = old[last]
+	*h = old[:last]
+	h.down(0)
+	return best, true
+}
+
+func (h candidateHeap) down(k int) {
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
 		}
-		if ca.s != cb.s {
-			return ca.s > cb.s
+		if r := c + 1; r < len(h) && h[r].better(h[c]) {
+			c = r
 		}
-		ia, ja := clusters[ca.i].id, clusters[ca.j].id
-		ib, jb := clusters[cb.i].id, clusters[cb.j].id
-		if ia != ib {
-			return ia < ib
+		if !h[c].better(h[k]) {
+			return
 		}
-		return ja < jb
-	})
-	return cands
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
 }
 
 func members(clusters []clus) [][]int {
@@ -321,9 +362,11 @@ func clusterThreadBalanced(s *scorer, clusters []clus, p int) ([][]int, error) {
 		return append(sizes, len(cs[i].members)+len(cs[j].members))
 	}
 
+	var cands candidateHeap
 	for len(clusters) > p {
 		merged := false
-		for _, cand := range rankCandidates(s, clusters) {
+		cands = s.candidates(cands, clusters)
+		for cand, ok := cands.pop(); ok; cand, ok = cands.pop() {
 			if len(clusters[cand.i].members)+len(clusters[cand.j].members) > feas.ceil {
 				continue
 			}
@@ -365,9 +408,11 @@ func clusterLoadBalanced(s *scorer, clusters []clus, p int, slack float64) [][]i
 		return float64(l)
 	}
 
+	var cands candidateHeap
 	for len(clusters) > p {
 		mergedOne := false
-		for _, cand := range rankCandidates(s, clusters) {
+		cands = s.candidates(cands, clusters)
+		for cand, ok := cands.pop(); ok; cand, ok = cands.pop() {
 			if load(clusters[cand.i])+load(clusters[cand.j]) <= limit {
 				clusters = s.merge(clusters, cand.i, cand.j)
 				mergedOne = true
