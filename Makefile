@@ -30,7 +30,7 @@ lint:
 racecheck:
 	$(GO) test -race -short ./internal/serve/... ./internal/store ./internal/retry ./cmd/mtserve ./internal/cluster ./internal/obs
 
-verify: faultcheck servecheck clustercheck tracecheck storecheck advisecheck
+verify: faultcheck servecheck clustercheck tracecheck storecheck advisecheck prepcheck
 	$(GO) vet ./...
 	$(GO) run ./cmd/mtlint ./...
 	$(GO) run ./cmd/mtlint -census ./internal/serve/... ./internal/store ./internal/retry ./internal/cluster ./internal/obs ./internal/advise
@@ -129,7 +129,7 @@ prepcheck:
 # phase-changing workload with the migration penalty charged.
 advisecheck:
 	$(GO) test ./internal/advise
-	$(GO) test ./internal/sim -run 'TestOnline|TestCheckpoint|TestRunOnline'
+	$(GO) test ./internal/sim -run 'TestOnline|TestCheckpoint'
 	$(GO) test ./internal/resilience -run 'TestEngineGuardRunOnline'
 	$(GO) test ./internal/serve -run 'TestAdvise|TestSimulateOnline|TestSweepOnline'
 	$(GO) test ./internal/cluster -run 'TestClusterAdvise'

@@ -181,7 +181,7 @@ func BenchmarkSimulateWater4p(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(tr, pl, cfg); err != nil {
+		if _, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -216,7 +216,7 @@ func benchmarkCell(b *testing.B, eng sim.Engine, app, alg string, procs int, inf
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunEngine(tr, pl, cfg, eng)
+		res, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: eng})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func BenchmarkEngineProbeDisabled(b *testing.B) {
 	pl := &placement.Placement{Algorithm: "BENCH", Clusters: [][]int{{0, 1}, {2, 3}}}
 	cfg := sim.DefaultConfig(2)
 	run := func(tr *trace.Trace) {
-		if _, err := sim.RunEngine(tr, pl, cfg, sim.FastEngine); err != nil {
+		if _, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: sim.FastEngine}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -287,7 +287,7 @@ func BenchmarkEngineProbeDisabled(b *testing.B) {
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunEngine(long, pl, cfg, sim.FastEngine)
+		res, err := sim.Run(long, sim.Spec{Config: cfg, Placement: pl, Engine: sim.FastEngine})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,7 +333,7 @@ func BenchmarkEngineDynamic(b *testing.B) {
 	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunDynamic(tr, cfg, sim.LongestFirst)
+		res, err := sim.Run(tr, sim.Spec{Config: cfg, Schedule: sim.LongestFirst})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -308,7 +308,7 @@ func phasedCrossover(seed int64) (*phasedReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("advise: phased %s placement: %w", alg.Name, err)
 		}
-		res, err := sim.RunObserved(tr, pl, cfg, sim.FastEngine, nil)
+		res, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl})
 		if err != nil {
 			return nil, fmt.Errorf("advise: phased %s run: %w", alg.Name, err)
 		}
@@ -333,11 +333,11 @@ func phasedCrossover(seed int64) (*phasedReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.RunOnlineObserved(tr, seedPl, cfg, sim.FastEngine, opts, nil)
+		res, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: seedPl, Online: opts, Engine: sim.FastEngine})
 		if err != nil {
 			return nil, fmt.Errorf("advise: phased %s run: %w", spec.String(), err)
 		}
-		ref, err := sim.RunOnlineObserved(tr, seedPl, cfg, sim.ReferenceEngine, opts, nil)
+		ref, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: seedPl, Online: opts, Engine: sim.ReferenceEngine})
 		if err != nil {
 			return nil, fmt.Errorf("advise: phased %s reference run: %w", spec.String(), err)
 		}

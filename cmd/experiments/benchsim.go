@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -104,7 +105,7 @@ func benchSim(scale float64, seed int64, procsSpec, path string) error {
 				if newProbe != nil {
 					probe = newProbe()
 				}
-				res, err := sim.RunObserved(tr, pl, cfg, eng, probe)
+				res, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: eng, Probe: probe})
 				if err != nil {
 					return b, err
 				}
@@ -168,13 +169,12 @@ func benchSim(scale float64, seed int64, procsSpec, path string) error {
 	// guard's watchdog armed but cross-checking off, pricing the per-event
 	// guard check and the wrapper itself.
 	guardSweep := func(sampleEvery int) (float64, error) {
-		g := &resilience.EngineGuard{
-			SampleEvery: sampleEvery,
-			Guard:       sim.Guard{MaxSteps: 1 << 62},
-		}
+		g := &resilience.EngineGuard{SampleEvery: sampleEvery}
 		gopts := opts
-		gopts.Runner = g.Run
-		gopts.DynRunner = g.RunDynamic
+		gopts.Runner = func(tr *trace.Trace, spec sim.Spec) (*sim.Result, error) {
+			spec.Guard = sim.Guard{MaxSteps: 1 << 62}
+			return g.Run(tr, spec)
+		}
 		gs := core.NewSuite(gopts)
 		t0 := time.Now()
 		if _, err := gs.ExecutionFigure(app); err != nil {

@@ -40,6 +40,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -333,11 +334,13 @@ func run(cfg sweepCfg) (degraded bool, err error) {
 		}
 		guard = &resilience.EngineGuard{
 			SampleEvery: cfg.crossCheck,
-			Guard:       sim.Guard{MaxSteps: cfg.maxSteps, Cancel: &cancel},
 			OnFallback:  func(rep resilience.DivergenceReport) { cfg.log.Error(rep.String()) },
 		}
-		opts.Runner = guard.Run
-		opts.DynRunner = guard.RunDynamic
+		watchdog := sim.Guard{MaxSteps: cfg.maxSteps, Cancel: &cancel}
+		opts.Runner = func(tr *trace.Trace, spec sim.Spec) (*sim.Result, error) {
+			spec.Guard = watchdog
+			return guard.Run(tr, spec)
+		}
 	}
 	s := core.NewSuite(opts)
 

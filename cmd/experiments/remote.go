@@ -3,7 +3,6 @@ package main
 import (
 	"time"
 
-	"repro/internal/placement"
 	"repro/internal/retry"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
@@ -22,8 +21,8 @@ import (
 // Workloads outside the server's catalog (the synthetic ablation
 // variants) fall back to a local run: they are parameterized beyond
 // (scale, seed), so no remote cell identity exists for them. Dynamic
-// scheduling stays local too (core.Options.DynRunner is untouched).
-func remoteRunner(baseURL string, params workload.Params) func(*trace.Trace, *placement.Placement, sim.Config) (*sim.Result, error) {
+// scheduling (a nil placement) stays local too.
+func remoteRunner(baseURL string, params workload.Params) func(*trace.Trace, sim.Spec) (*sim.Result, error) {
 	cl := client.New(baseURL)
 	// Sweeps are patient: ride out queue-full backpressure (429 +
 	// Retry-After), restarts and proxy flaps through the shared backoff
@@ -37,10 +36,10 @@ func remoteRunner(baseURL string, params workload.Params) func(*trace.Trace, *pl
 	}
 	cl.RetryBudget = 2 * time.Minute
 	p := serve.Params{Scale: params.Scale, Seed: params.Seed}
-	return func(tr *trace.Trace, pl *placement.Placement, cfg sim.Config) (*sim.Result, error) {
-		if _, err := workload.ByName(tr.App); err != nil {
-			return sim.Run(tr, pl, cfg)
+	return func(tr *trace.Trace, spec sim.Spec) (*sim.Result, error) {
+		if _, err := workload.ByName(tr.App); err != nil || spec.Placement == nil {
+			return sim.Run(tr, spec)
 		}
-		return cl.SimulateCell(p, tr.App, pl.Algorithm, pl.Clusters, cfg, "")
+		return cl.SimulateCell(p, tr.App, spec.Placement.Algorithm, spec.Placement.Clusters, spec.Config, "")
 	}
 }

@@ -47,7 +47,7 @@ func timelineRun(scale float64, seed int64, procsSpec, path string, log *slog.Lo
 		return err
 	}
 	tracer := obs.NewTracer()
-	res, err := sim.RunObserved(tr, pl, cfg, sim.FastEngine, tracer)
+	res, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Probe: tracer})
 	if err != nil {
 		return err
 	}

@@ -68,7 +68,7 @@ func run(args []string) int {
 		cacheSize  = fs.Int("cache", 4096, "result cache capacity (entries)")
 		maxSteps   = fs.Uint64("maxsteps", 0, "per-cell simulation step budget (0 = unlimited)")
 		timeout    = fs.Duration("timeout", 0, "per-cell wall-clock budget (0 = none)")
-		crossCheck = fs.Int("crosscheck", 16, "cross-check every Nth guarded run against the reference engine (0 = off)")
+		crossCheck = fs.Int("crosscheck", 16, "cross-check every Nth guarded run against the reference engine (0 or negative = off)")
 		verbose    = fs.Bool("v", false, "verbose logging")
 
 		storeDir       = fs.String("store-dir", "", "durable result store directory: results persist across restarts and warm-start the cache (empty = memory only)")
@@ -101,7 +101,7 @@ func run(args []string) int {
 		CacheEntries:     *cacheSize,
 		MaxSteps:         *maxSteps,
 		RequestTimeout:   *timeout,
-		SampleEvery:      *crossCheck,
+		SampleEvery:      sampleEvery(*crossCheck),
 		StreamWindow:     *streamWindow,
 		DisableTelemetry: *noTelemetry,
 		Log:              log,
@@ -134,6 +134,15 @@ func run(args []string) int {
 	cc := coordConfig{url: *coord, name: *name, advertise: *advertise, interval: *beat}
 	dc := durableConfig{storeDir: *storeDir, webhookJournal: *webhookJournal}
 	return serveMain(log, *addr, opts, cc, dc)
+}
+
+// sampleEvery maps the -crosscheck flag, where 0 means off, onto
+// serve.Options.SampleEvery, where 0 means the default.
+func sampleEvery(crossCheck int) int {
+	if crossCheck == 0 {
+		return -1
+	}
+	return crossCheck
 }
 
 // durableConfig is the daemon's persistence surface: the result store

@@ -118,38 +118,33 @@ func run(o options, out io.Writer, log *slog.Logger) error {
 	}
 	probe := obs.Multi(probes...)
 
-	// The zero guard is a plain unbounded run; -maxsteps arms it.
-	guard := sim.Guard{MaxSteps: o.maxSteps}
-
-	alg := o.alg
-	var res *sim.Result
+	// The zero guard is a plain unbounded run; -maxsteps arms it. A nil
+	// placement selects dynamic self-scheduling.
+	spec := sim.Spec{Config: cfg, Probe: probe, Guard: sim.Guard{MaxSteps: o.maxSteps}}
 	if o.dynamic != "" {
-		policy := sim.FIFO
 		switch o.dynamic {
 		case "fifo":
 		case "longest-first":
-			policy = sim.LongestFirst
+			spec.Schedule = sim.LongestFirst
 		default:
 			return obs.Usagef("unknown -dynamic policy %q (fifo or longest-first)", o.dynamic)
 		}
-		res, err = sim.RunDynamicGuarded(tr, cfg, policy, sim.FastEngine, probe, guard)
-		if err != nil {
-			return err
-		}
-		alg = res.Algorithm
 	} else {
-		pa, err := placement.ByName(alg)
+		pa, err := placement.ByName(o.alg)
 		if err != nil {
 			return err
 		}
-		pl, err := pa.Place(analysis.Analyze(tr).Sharing(), o.procs, o.seed)
-		if err != nil {
+		if spec.Placement, err = pa.Place(analysis.Analyze(tr).Sharing(), o.procs, o.seed); err != nil {
 			return err
 		}
-		res, err = sim.RunGuarded(tr, pl, cfg, sim.FastEngine, probe, guard)
-		if err != nil {
-			return err
-		}
+	}
+	res, err := sim.Run(tr, spec)
+	if err != nil {
+		return err
+	}
+	alg := o.alg
+	if spec.Placement == nil {
+		alg = res.Algorithm
 	}
 	log.Debug("simulation complete", "exec_cycles", res.ExecTime)
 

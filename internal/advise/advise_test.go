@@ -321,11 +321,11 @@ func TestOnlinePoliciesEnginesAgree(t *testing.T) {
 	cfg := sim.DefaultConfig(2)
 	for _, policy := range []sim.OnlinePolicy{Coherence{}, Hysteresis{}} {
 		opts := sim.OnlineOptions{Interval: 400, Penalty: 32, Policy: policy}
-		ref, err := sim.RunOnlineGuarded(tr, seed, cfg, sim.ReferenceEngine, opts, nil, sim.Guard{})
+		ref, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: seed, Online: opts, Engine: sim.ReferenceEngine})
 		if err != nil {
 			t.Fatalf("%s: reference: %v", policy.Name(), err)
 		}
-		fast, err := sim.RunOnlineGuarded(tr, seed, cfg, sim.FastEngine, opts, nil, sim.Guard{})
+		fast, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: seed, Online: opts, Engine: sim.FastEngine})
 		if err != nil {
 			t.Fatalf("%s: fast: %v", policy.Name(), err)
 		}

@@ -1,6 +1,6 @@
 // Package advise is the placement advisor: online re-placement policies
 // for the simulation engines' mid-run migration support
-// (sim.RunOnlineGuarded), the virtual ONLINE/… algorithm-name grammar
+// (sim.Run with Spec.Online), the virtual ONLINE/… algorithm-name grammar
 // the service tier uses to sweep online configurations through the
 // unchanged /v1/sweep machinery, and the Recommend core behind the
 // /v1/advise endpoint.

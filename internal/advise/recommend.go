@@ -78,7 +78,7 @@ func MeasurePairTraffic(tr *trace.Trace, cfg sim.Config, eng sim.Engine) ([][]ui
 	pl := &placement.Placement{Algorithm: "ONE-THREAD-PER-PROC", Clusters: clusters}
 	cfg.Processors = n
 	cfg.MaxContexts = 0
-	res, err := sim.RunEngine(tr, pl, cfg, eng)
+	res, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: eng})
 	if err != nil {
 		return nil, nil, err
 	}

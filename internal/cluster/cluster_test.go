@@ -485,6 +485,9 @@ func TestClusterHealthAndMetrics(t *testing.T) {
 		"coordinator_workers_live", "coordinator_leases_granted_total",
 		"coordinator_cells_completed_total", "coordinator_worker_pending_cells_w0",
 		"coordinator_worker_steals_total_w1",
+		// Counted before the job's status turned done, so a poller that
+		// saw it finish must see it here.
+		"coordinator_jobs_completed_total 1",
 	} {
 		if !strings.Contains(metrics, series) {
 			t.Errorf("/metrics missing series %s", series)

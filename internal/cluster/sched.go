@@ -394,13 +394,17 @@ func (c *Coordinator) stealForIdle(j *cjob, outstanding []*leaseRef, live []stri
 	return outstanding
 }
 
-// finalize moves a fully accounted job to done or failed.
+// finalize moves a fully accounted job to done or failed. The outcome
+// is counted before the status is visible, so a client that sees the job
+// finish also sees it counted.
 func (c *Coordinator) finalize(j *cjob) {
 	j.mu.Lock()
 	if j.failed > 0 || j.errmsg != "" {
 		j.status = serve.StatusFailed
+		c.metrics.jobsFailed.Inc()
 	} else {
 		j.status = serve.StatusDone
+		c.metrics.jobsCompleted.Inc()
 	}
 	status := j.status
 	j.mu.Unlock()
@@ -409,11 +413,6 @@ func (c *Coordinator) finalize(j *cjob) {
 	c.publishJob(j)
 	c.notifyJob(j, j.snapshot())
 
-	if status == serve.StatusDone {
-		c.metrics.jobsCompleted.Inc()
-	} else {
-		c.metrics.jobsFailed.Inc()
-	}
 	if c.journal != nil {
 		// Failed jobs are journaled done too: the failure is deterministic,
 		// so replaying it as retriable would only fail again.

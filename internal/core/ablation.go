@@ -49,7 +49,7 @@ func (s *Suite) AssociativitySweep(app, alg string, procs int, assocs []int) ([]
 			return nil, err
 		}
 		cfg.Associativity = ways
-		res, err := s.simRun(tr, pl, cfg)
+		res, err := s.run(tr, sim.Spec{Config: cfg, Placement: pl})
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +117,7 @@ func (s *Suite) ContextSweep(app string, procs int, contexts []int) ([]ContextRo
 			return nil, err
 		}
 		cfg.MaxContexts = n
-		res, err := s.simRun(tr, pl, cfg)
+		res, err := s.run(tr, sim.Spec{Config: cfg, Placement: pl})
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +232,7 @@ func (s *Suite) UniformitySweep(uniformities []float64) ([]UniformityRow, error)
 			if err != nil {
 				return nil, err
 			}
-			return s.simRun(tr, pl, cfg)
+			return s.run(tr, sim.Spec{Config: cfg, Placement: pl})
 		}
 
 		random, err := runAlg("RANDOM")
@@ -313,7 +313,7 @@ func (s *Suite) WriteRunStudy(apps []string) ([]WriteRunRow, error) {
 			return nil, err
 		}
 		cfg.TrackWriteRuns = true
-		res, err := s.simRun(tr, pl, cfg)
+		res, err := s.run(tr, sim.Spec{Config: cfg, Placement: pl})
 		if err != nil {
 			return nil, err
 		}

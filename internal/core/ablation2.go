@@ -44,7 +44,7 @@ func (s *Suite) ProtocolComparison(app string, procs int, algs []string) ([]Prot
 				return nil, err
 			}
 			cfg.Protocol = proto
-			res, err := s.simRun(tr, pl, cfg)
+			res, err := s.run(tr, sim.Spec{Config: cfg, Placement: pl})
 			if err != nil {
 				return nil, err
 			}
@@ -112,7 +112,7 @@ func (s *Suite) LatencySweep(app string, procs int, latencies []uint64) ([]Laten
 				return nil, err
 			}
 			cfg.MemLatency = lat
-			res, err := s.simRun(tr, pl, cfg)
+			res, err := s.run(tr, sim.Spec{Config: cfg, Placement: pl})
 			if err != nil {
 				return nil, err
 			}
@@ -183,7 +183,7 @@ func (s *Suite) ContentionSweep(app, alg string, procs int, channels []int) ([]C
 			return nil, err
 		}
 		cfg.NetworkChannels = ch
-		res, err := s.simRun(tr, pl, cfg)
+		res, err := s.run(tr, sim.Spec{Config: cfg, Placement: pl})
 		if err != nil {
 			return nil, err
 		}

@@ -40,7 +40,7 @@ func (s *Suite) CacheSizeSweep(app, alg string, procs int, sizes []int) ([]Cache
 			return nil, err
 		}
 		cfg.CacheSize = size
-		res, err := s.simRun(tr, pl, cfg)
+		res, err := s.run(tr, sim.Spec{Config: cfg, Placement: pl})
 		if err != nil {
 			return nil, err
 		}

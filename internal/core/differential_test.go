@@ -37,11 +37,11 @@ func TestDifferentialEngines(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref, err := sim.RunEngine(tr, pl, cfg, sim.ReferenceEngine)
+					ref, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: sim.ReferenceEngine})
 					if err != nil {
 						t.Fatalf("%s/%dp: reference engine: %v", alg, procs, err)
 					}
-					fast, err := sim.RunEngine(tr, pl, cfg, sim.FastEngine)
+					fast, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: sim.FastEngine})
 					if err != nil {
 						t.Fatalf("%s/%dp: fast engine: %v", alg, procs, err)
 					}
@@ -80,7 +80,7 @@ func TestDifferentialDynamic(t *testing.T) {
 						cfg.MaxContexts = contexts
 						var res [2]*sim.Result
 						for i, eng := range []sim.Engine{sim.ReferenceEngine, sim.FastEngine} {
-							if res[i], err = sim.RunDynamicGuarded(tr, cfg, policy, eng, nil, sim.Guard{}); err != nil {
+							if res[i], err = sim.Run(tr, sim.Spec{Config: cfg, Schedule: policy, Engine: eng}); err != nil {
 								t.Fatalf("%v/%dp/%dctx: %v engine: %v", policy, procs, contexts, eng, err)
 							}
 						}
@@ -112,11 +112,11 @@ func TestDifferential64Processors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sim.RunEngine(tr, pl, cfg, sim.ReferenceEngine)
+	ref, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: sim.ReferenceEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := sim.RunEngine(tr, pl, cfg, sim.FastEngine)
+	fast, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: sim.FastEngine})
 	if err != nil {
 		t.Fatal(err)
 	}

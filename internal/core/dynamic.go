@@ -45,7 +45,7 @@ func (s *Suite) DynamicComparison(apps []string, procs, contextsPerProc int) ([]
 		if err != nil {
 			return nil, err
 		}
-		lb, err := s.simRun(tr, lbPl, cfg)
+		lb, err := s.run(tr, sim.Spec{Config: cfg, Placement: lbPl})
 		if err != nil {
 			return nil, err
 		}
@@ -53,15 +53,15 @@ func (s *Suite) DynamicComparison(apps []string, procs, contextsPerProc int) ([]
 		if err != nil {
 			return nil, err
 		}
-		random, err := s.simRun(tr, rndPl, cfg)
+		random, err := s.run(tr, sim.Spec{Config: cfg, Placement: rndPl})
 		if err != nil {
 			return nil, err
 		}
-		fifo, err := s.dynRun(tr, cfg, sim.FIFO)
+		fifo, err := s.run(tr, sim.Spec{Config: cfg, Schedule: sim.FIFO})
 		if err != nil {
 			return nil, err
 		}
-		lpt, err := s.dynRun(tr, cfg, sim.LongestFirst)
+		lpt, err := s.run(tr, sim.Spec{Config: cfg, Schedule: sim.LongestFirst})
 		if err != nil {
 			return nil, err
 		}

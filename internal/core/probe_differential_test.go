@@ -40,13 +40,13 @@ func TestDifferentialProbes(t *testing.T) {
 					}
 					counters := map[sim.Engine]*obs.Counter{}
 					for _, eng := range []sim.Engine{sim.ReferenceEngine, sim.FastEngine} {
-						bare, err := sim.RunEngine(tr, pl, cfg, eng)
+						bare, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: eng})
 						if err != nil {
 							t.Fatalf("%s/%dp/%v: %v", alg, procs, eng, err)
 						}
 						c := &obs.Counter{}
 						probe := obs.Multi(c, obs.NewSampler(10_000), obs.NewTracer())
-						probed, err := sim.RunObserved(tr, pl, cfg, eng, probe)
+						probed, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: eng, Probe: probe})
 						if err != nil {
 							t.Fatalf("%s/%dp/%v: probed run: %v", alg, procs, eng, err)
 						}
@@ -86,12 +86,11 @@ func TestDifferentialProbesDynamic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, policy := range []sim.SchedulePolicy{sim.FIFO, sim.LongestFirst} {
-		bare, err := sim.RunDynamic(tr, cfg, policy)
+		bare, err := sim.Run(tr, sim.Spec{Config: cfg, Schedule: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		probed, err := sim.RunDynamicObserved(tr, cfg, policy,
-			obs.Multi(&obs.Counter{}, obs.NewSampler(10_000)))
+		probed, err := sim.Run(tr, sim.Spec{Config: cfg, Schedule: policy, Probe: obs.Multi(&obs.Counter{}, obs.NewSampler(10_000))})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func TestReusePredictsFullyAssociativeMisses(t *testing.T) {
 		cfg.CacheSize = blocks * sim.DefaultLineSize
 		cfg.Associativity = blocks // fully associative
 		pl := &placement.Placement{Algorithm: "ONE", Clusters: [][]int{{0}}}
-		res, err := sim.Run(one, pl, cfg)
+		res, err := sim.Run(one, sim.Spec{Config: cfg, Placement: pl})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/placement"
 	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -22,17 +21,17 @@ func runnerOptions() Options {
 
 // TestRunnerSeesEverySimulation: every simulation a sweep performs —
 // memoized cells, the coherence measurement, cache sweeps and dynamic
-// scheduling — funnels through the installed Runner/DynRunner hooks.
+// scheduling — funnels through the installed Runner hook.
 func TestRunnerSeesEverySimulation(t *testing.T) {
 	var runs, dynRuns atomic.Uint64
 	opts := runnerOptions()
-	opts.Runner = func(tr *trace.Trace, pl *placement.Placement, cfg sim.Config) (*sim.Result, error) {
-		runs.Add(1)
-		return sim.Run(tr, pl, cfg)
-	}
-	opts.DynRunner = func(tr *trace.Trace, cfg sim.Config, policy sim.SchedulePolicy) (*sim.Result, error) {
-		dynRuns.Add(1)
-		return sim.RunDynamic(tr, cfg, policy)
+	opts.Runner = func(tr *trace.Trace, spec sim.Spec) (*sim.Result, error) {
+		if spec.Placement == nil {
+			dynRuns.Add(1)
+		} else {
+			runs.Add(1)
+		}
+		return sim.Run(tr, spec)
 	}
 	s := NewSuite(opts)
 
@@ -59,7 +58,7 @@ func TestRunnerSeesEverySimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dynRuns.Load() != 2 {
-		t.Fatalf("dynamic comparison drove %d DynRunner calls, want 2 (FIFO, LPT)", dynRuns.Load())
+		t.Fatalf("dynamic comparison drove %d dynamic runner calls, want 2 (FIFO, LPT)", dynRuns.Load())
 	}
 }
 
@@ -76,7 +75,6 @@ func TestRunnerEngineGuardDropIn(t *testing.T) {
 	g := &resilience.EngineGuard{SampleEvery: 1}
 	opts := runnerOptions()
 	opts.Runner = g.Run
-	opts.DynRunner = g.RunDynamic
 	guarded := NewSuite(opts)
 	got, err := guarded.RunOne("Water", "SHARE-REFS", 4, false)
 	if err != nil {

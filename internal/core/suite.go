@@ -30,14 +30,12 @@ type Options struct {
 	RandomSeed int64
 	// Parallelism bounds concurrent simulations (default: NumCPU).
 	Parallelism int
-	// Runner, when non-nil, replaces sim.Run for every static-placement
-	// simulation the suite performs. Installing a runner — typically a
-	// resilience.EngineGuard's Run method — threads watchdogs and
-	// runtime engine cross-checking through every cell of a sweep.
-	Runner func(*trace.Trace, *placement.Placement, sim.Config) (*sim.Result, error)
-	// DynRunner is the same hook for dynamic-scheduling simulations;
-	// nil means sim.RunDynamic.
-	DynRunner func(*trace.Trace, sim.Config, sim.SchedulePolicy) (*sim.Result, error)
+	// Runner, when non-nil, replaces sim.Run for every simulation the
+	// suite performs, static placement and dynamic scheduling alike.
+	// Installing a runner — typically a resilience.EngineGuard's Run
+	// method — threads watchdogs and runtime engine cross-checking
+	// through every cell of a sweep.
+	Runner func(*trace.Trace, sim.Spec) (*sim.Result, error)
 }
 
 // DefaultOptions returns the paper's configuration sweep at the library's
@@ -165,24 +163,14 @@ func NewSuite(opts Options) *Suite {
 // Options returns the suite's configuration.
 func (s *Suite) Options() Options { return s.opts }
 
-// simRun dispatches one static-placement simulation through the
-// configured Runner (sim.Run by default). Every simulation the suite
-// performs funnels through here or dynRun, so an installed runner sees
-// the whole sweep.
-func (s *Suite) simRun(tr *trace.Trace, pl *placement.Placement, cfg sim.Config) (*sim.Result, error) {
+// run dispatches one simulation through the configured Runner (sim.Run
+// by default). Every simulation the suite performs funnels through here,
+// so an installed runner sees the whole sweep.
+func (s *Suite) run(tr *trace.Trace, spec sim.Spec) (*sim.Result, error) {
 	if s.opts.Runner != nil {
-		return s.opts.Runner(tr, pl, cfg)
+		return s.opts.Runner(tr, spec)
 	}
-	return sim.Run(tr, pl, cfg)
-}
-
-// dynRun dispatches one dynamic-scheduling simulation through the
-// configured DynRunner (sim.RunDynamic by default).
-func (s *Suite) dynRun(tr *trace.Trace, cfg sim.Config, policy sim.SchedulePolicy) (*sim.Result, error) {
-	if s.opts.DynRunner != nil {
-		return s.opts.DynRunner(tr, cfg, policy)
-	}
-	return sim.RunDynamic(tr, cfg, policy)
+	return sim.Run(tr, spec)
 }
 
 // app returns the application's cell, creating it for a known name.
@@ -322,7 +310,7 @@ func (s *Suite) runPlacement(app string, pl *placement.Placement, procs int, inf
 		return nil, err
 	}
 	cell := cellFor(&s.mu, s.sims, simKey{app: app, placement: PlacementKey(pl), cfg: cfg})
-	return cell.get(func() (*sim.Result, error) { return s.simRun(tr, pl, cfg) })
+	return cell.get(func() (*sim.Result, error) { return s.run(tr, sim.Spec{Config: cfg, Placement: pl}) })
 }
 
 // AlgResult pairs an algorithm name with its simulation result.
@@ -383,7 +371,7 @@ func (s *Suite) CoherenceMeasurement(app string) ([][]uint64, *sim.Result, error
 		if err != nil {
 			return coherenceEntry{}, err
 		}
-		res, err := s.simRun(tr, pl, cfg)
+		res, err := s.run(tr, sim.Spec{Config: cfg, Placement: pl})
 		if err != nil {
 			return coherenceEntry{}, err
 		}

@@ -86,7 +86,7 @@ func TestHotpathMatchesAllocBenchmark(t *testing.T) {
 	pl := &placement.Placement{Algorithm: "SELFCHECK", Clusters: [][]int{{0, 1}, {2, 3}}}
 	cfg := sim.DefaultConfig(2)
 	run := func(tr *trace.Trace) {
-		if _, err := sim.RunEngine(tr, pl, cfg, sim.FastEngine); err != nil {
+		if _, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: sim.FastEngine}); err != nil {
 			t.Fatal(err)
 		}
 	}

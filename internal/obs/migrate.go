@@ -2,7 +2,7 @@ package obs
 
 import "fmt"
 
-// Migration events: online adaptive placement (sim.RunOnlineGuarded)
+// Migration events: online adaptive placement (sim.Run with Spec.Online)
 // reports every applied thread migration through the probe plumbing, so
 // a timeline or counter view of an online run shows when and where the
 // placement changed. Migrations happen only at detection boundaries —

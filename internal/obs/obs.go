@@ -118,7 +118,7 @@ type Probe interface {
 	Fault(t uint64, kind FaultKind)
 	// Migrate: online adaptive placement moved a thread from processor
 	// from to processor to at a detection boundary at time t. Emitted
-	// only by online runs (sim.RunOnlineGuarded), always cold-path.
+	// only by online runs (sim.Run with Spec.Online), always cold-path.
 	Migrate(t uint64, thread, from, to int)
 }
 

@@ -224,7 +224,7 @@ func sharingMetrics() []Metric {
 // RANDOM. The dynamic COHERENCE algorithm is not listed because it needs a
 // measured traffic matrix: between runs, build it with CoherenceTraffic;
 // mid-run, the advise package's online policies feed the same metric from
-// live engine checkpoints (sim.RunOnlineGuarded).
+// live engine checkpoints (sim.Run with Spec.Online).
 func All() []Algorithm {
 	var algs []Algorithm
 	for _, m := range sharingMetrics() {

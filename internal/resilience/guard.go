@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -29,12 +28,11 @@ import (
 // The guard is safe for concurrent use; core.Suite runs cells in
 // parallel.
 type EngineGuard struct {
-	// SampleEvery cross-checks every Nth run (1 = every run, 0 disables
-	// cross-checking; the guard then only forwards to the fast engine,
-	// which makes the overhead of the wrapper itself measurable).
+	// SampleEvery cross-checks every Nth run (1 = every run; 0 or a
+	// negative value disables cross-checking, and the guard then only
+	// forwards to the fast engine, which makes the overhead of the wrapper
+	// itself measurable).
 	SampleEvery int
-	// Guard is the watchdog applied to every run (zero = unbounded).
-	Guard sim.Guard
 	// Probe, when non-nil, receives Fault events on divergence and
 	// fallback. It is invoked under the guard's lock — cold path only.
 	Probe obs.Probe
@@ -94,50 +92,28 @@ func (g *EngineGuard) Stats() (runs, crossChecks uint64) {
 	return g.runs, g.crossChecks
 }
 
-// Run simulates one cell through the guard. It matches sim.Run's
-// signature, so core.Suite can adopt it as its Runner unchanged.
-func (g *EngineGuard) Run(tr *trace.Trace, pl *placement.Placement, cfg sim.Config) (*sim.Result, error) {
-	return g.RunCell(tr, pl, cfg, nil, g.Guard)
-}
-
-// RunCell is Run with a per-call probe and watchdog: the serving layer
-// gives every HTTP request its own cancellation flag and step budget
-// while all requests share one guard (and therefore one degraded/benched
-// state). The probe attaches to the authoritative run — the fast engine
-// while healthy, the reference engine once benched — never to the sampled
-// cross-check run, so probe counts always describe the result returned.
-func (g *EngineGuard) RunCell(tr *trace.Trace, pl *placement.Placement, cfg sim.Config, probe obs.Probe, guard sim.Guard) (*sim.Result, error) {
-	return g.runGuarded(cfg.Processors, probe, func(eng sim.Engine, probe obs.Probe) (*sim.Result, error) {
-		return sim.RunGuarded(tr, pl, cfg, eng, probe, guard)
-	})
-}
-
-// RunOnline is RunCell for online adaptive-placement cells: the same
-// fast-first/cross-check/bench discipline, with sim.RunOnlineGuarded on
-// both sides so the sampled reference run replays the identical
-// boundary decisions and migrations. With opts disabled this is exactly
-// RunCell — sim.RunOnlineGuarded delegates to sim.RunGuarded.
-func (g *EngineGuard) RunOnline(tr *trace.Trace, pl *placement.Placement, cfg sim.Config, opts sim.OnlineOptions, probe obs.Probe, guard sim.Guard) (*sim.Result, error) {
-	return g.runGuarded(cfg.Processors, probe, func(eng sim.Engine, probe obs.Probe) (*sim.Result, error) {
-		return sim.RunOnlineGuarded(tr, pl, cfg, eng, opts, probe, guard)
-	})
-}
-
-// RunDynamic is RunCell for dynamic self-scheduling cells, under the
-// guard's watchdog and on the same cross-check sampling schedule. It
-// matches core.Options.DynRunner's signature.
-func (g *EngineGuard) RunDynamic(tr *trace.Trace, cfg sim.Config, policy sim.SchedulePolicy) (*sim.Result, error) {
-	return g.runGuarded(cfg.Processors, nil, func(eng sim.Engine, probe obs.Probe) (*sim.Result, error) {
-		return sim.RunDynamicGuarded(tr, cfg, policy, eng, probe, g.Guard)
-	})
-}
-
-// runGuarded is the discipline every guarded cell shares: simulate on the
-// fast engine (the reference once benched), cross-check a deterministic
-// sample against the reference engine, and bench the fast engine on the
-// first divergence. simulate runs the cell on the given engine with the
-// given probe.
-func (g *EngineGuard) runGuarded(procs int, probe obs.Probe, simulate func(sim.Engine, obs.Probe) (*sim.Result, error)) (*sim.Result, error) {
+// Run simulates one cell through the guard: simulate on the fast engine
+// (the reference once benched), cross-check a deterministic sample
+// against the reference engine, and bench the fast engine on the first
+// divergence. It matches sim.Run's signature, so core.Suite can adopt it
+// as its Runner unchanged.
+//
+// The guard picks the engine, so s.Engine is ignored. s.Probe attaches
+// to the authoritative run — the fast engine while healthy, the
+// reference engine once benched — never to the sampled cross-check run,
+// so probe counts always describe the result returned. s.Guard is the
+// per-call watchdog: the serving layer gives every HTTP request its own
+// cancellation flag and step budget while all requests share one
+// EngineGuard (and therefore one degraded/benched state). Static, online
+// and dynamic cells share the cross-check schedule; the sampled
+// reference run of an online cell replays the identical boundary
+// decisions and migrations.
+func (g *EngineGuard) Run(tr *trace.Trace, s sim.Spec) (*sim.Result, error) {
+	probe := s.Probe
+	simulate := func(eng sim.Engine, probe obs.Probe) (*sim.Result, error) {
+		s.Engine, s.Probe = eng, probe
+		return sim.Run(tr, s)
+	}
 	g.mu.Lock()
 	g.runs++
 	run := g.runs
@@ -169,7 +145,7 @@ func (g *EngineGuard) runGuarded(procs int, probe obs.Probe, simulate func(sim.E
 	// Divergence: the reference engine is the oracle — its result stands,
 	// the fast engine is benched for the rest of the process.
 	rep := DivergenceReport{
-		App: ref.App, Algorithm: ref.Algorithm, Processors: procs,
+		App: ref.App, Algorithm: ref.Algorithm, Processors: s.Config.Processors,
 		RunIndex: run, FastExec: fast.ExecTime, RefExec: ref.ExecTime,
 		Detail: divergenceDetail(fast, ref),
 	}

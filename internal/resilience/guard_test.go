@@ -33,13 +33,13 @@ func guardCell() (*trace.Trace, *placement.Placement, sim.Config) {
 
 func TestEngineGuardHealthy(t *testing.T) {
 	tr, pl, cfg := guardCell()
-	want, err := sim.Run(tr, pl, cfg)
+	want, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := &EngineGuard{SampleEvery: 2}
 	for i := 0; i < 6; i++ {
-		got, err := g.Run(tr, pl, cfg)
+		got, err := g.Run(tr, sim.Spec{Config: cfg, Placement: pl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestEngineGuardHealthy(t *testing.T) {
 
 func TestEngineGuardCatchesBrokenFastEngine(t *testing.T) {
 	tr, pl, cfg := guardCell()
-	want, err := sim.RunEngine(tr, pl, cfg, sim.ReferenceEngine)
+	want, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: sim.ReferenceEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestEngineGuardCatchesBrokenFastEngine(t *testing.T) {
 	}
 
 	// First run: divergence detected, reference result returned.
-	got, err := g.Run(tr, pl, cfg)
+	got, err := g.Run(tr, sim.Spec{Config: cfg, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestEngineGuardCatchesBrokenFastEngine(t *testing.T) {
 	// Subsequent runs complete on the reference engine — correct results
 	// despite the still-broken fast engine, and no second fallback.
 	for i := 0; i < 3; i++ {
-		got, err := g.Run(tr, pl, cfg)
+		got, err := g.Run(tr, sim.Spec{Config: cfg, Placement: pl})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,14 +134,14 @@ func TestEngineGuardSamplingSkipsUnsampled(t *testing.T) {
 
 	g := &EngineGuard{SampleEvery: 3}
 	for i := 1; i <= 2; i++ {
-		if _, err := g.Run(tr, pl, cfg); err != nil {
+		if _, err := g.Run(tr, sim.Spec{Config: cfg, Placement: pl}); err != nil {
 			t.Fatal(err)
 		}
 		if g.Degraded() {
 			t.Fatalf("guard tripped on unsampled run %d", i)
 		}
 	}
-	if _, err := g.Run(tr, pl, cfg); err != nil {
+	if _, err := g.Run(tr, sim.Spec{Config: cfg, Placement: pl}); err != nil {
 		t.Fatal(err)
 	}
 	if !g.Degraded() {
@@ -154,7 +154,7 @@ func TestEngineGuardConcurrent(t *testing.T) {
 	prev := sim.SetFastEngineFault(func(r *sim.Result) { r.ExecTime += 7 })
 	defer sim.SetFastEngineFault(prev)
 
-	want, err := sim.RunEngine(tr, pl, cfg, sim.ReferenceEngine)
+	want, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: sim.ReferenceEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestEngineGuardConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				got, err := g.Run(tr, pl, cfg)
+				got, err := g.Run(tr, sim.Spec{Config: cfg, Placement: pl})
 				if err != nil {
 					t.Error(err)
 					return
@@ -205,17 +205,18 @@ func (guardRotate) Decide(ck *sim.OnlineCheckpoint, env sim.OnlineEnv) []int {
 	return want
 }
 
-// TestEngineGuardRunOnlineDisabled: zero online options make RunOnline
-// exactly RunCell — static results, no Online stats, normal sampling.
+// TestEngineGuardRunOnlineDisabled: zero online options make an online
+// cell exactly the static cell — static results, no Online stats, normal
+// sampling.
 func TestEngineGuardRunOnlineDisabled(t *testing.T) {
 	tr, pl, cfg := guardCell()
-	want, err := sim.Run(tr, pl, cfg)
+	want, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := &EngineGuard{SampleEvery: 2}
 	for i := 0; i < 4; i++ {
-		got, err := g.RunOnline(tr, pl, cfg, sim.OnlineOptions{}, nil, sim.Guard{})
+		got, err := g.Run(tr, sim.Spec{Config: cfg, Placement: pl, Online: sim.OnlineOptions{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +224,7 @@ func TestEngineGuardRunOnlineDisabled(t *testing.T) {
 			t.Fatal("disabled online run carries Online stats")
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %d: disabled RunOnline differs from static run", i)
+			t.Fatalf("run %d: disabled online run differs from static run", i)
 		}
 	}
 	if runs, checks := g.Stats(); runs != 4 || checks != 2 {
@@ -236,7 +237,7 @@ func TestEngineGuardRunOnlineDisabled(t *testing.T) {
 func TestEngineGuardRunOnlineHealthy(t *testing.T) {
 	tr, pl, cfg := guardCell()
 	opts := sim.OnlineOptions{Interval: 300, Penalty: 16, Policy: guardRotate{}}
-	want, err := sim.RunOnlineGuarded(tr, pl, cfg, sim.ReferenceEngine, opts, nil, sim.Guard{})
+	want, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Online: opts, Engine: sim.ReferenceEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestEngineGuardRunOnlineHealthy(t *testing.T) {
 	}
 	g := &EngineGuard{SampleEvery: 1}
 	for i := 0; i < 3; i++ {
-		got, err := g.RunOnline(tr, pl, cfg, opts, nil, sim.Guard{})
+		got, err := g.Run(tr, sim.Spec{Config: cfg, Placement: pl, Online: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +264,7 @@ func TestEngineGuardRunOnlineHealthy(t *testing.T) {
 func TestEngineGuardRunOnlineCatchesFault(t *testing.T) {
 	tr, pl, cfg := guardCell()
 	opts := sim.OnlineOptions{Interval: 300, Penalty: 16, Policy: guardRotate{}}
-	want, err := sim.RunOnlineGuarded(tr, pl, cfg, sim.ReferenceEngine, opts, nil, sim.Guard{})
+	want, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Online: opts, Engine: sim.ReferenceEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestEngineGuardRunOnlineCatchesFault(t *testing.T) {
 
 	var fallbacks int
 	g := &EngineGuard{SampleEvery: 1, OnFallback: func(DivergenceReport) { fallbacks++ }}
-	got, err := g.RunOnline(tr, pl, cfg, opts, nil, sim.Guard{})
+	got, err := g.Run(tr, sim.Spec{Config: cfg, Placement: pl, Online: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestEngineGuardRunOnlineCatchesFault(t *testing.T) {
 	}
 	// Degraded: later runs (online and static) stay on the reference
 	// engine and remain correct despite the broken fast engine.
-	got, err = g.RunOnline(tr, pl, cfg, opts, nil, sim.Guard{})
+	got, err = g.Run(tr, sim.Spec{Config: cfg, Placement: pl, Online: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,12 +300,13 @@ func TestEngineGuardRunOnlineCatchesFault(t *testing.T) {
 
 func TestEngineGuardWatchdog(t *testing.T) {
 	tr, pl, cfg := guardCell()
-	g := &EngineGuard{Guard: sim.Guard{MaxSteps: 20}}
-	if _, err := g.Run(tr, pl, cfg); err == nil {
+	budget := sim.Guard{MaxSteps: 20}
+	g := &EngineGuard{}
+	if _, err := g.Run(tr, sim.Spec{Config: cfg, Placement: pl, Guard: budget}); err == nil {
 		t.Fatal("guard's step budget did not abort the run")
 	}
-	gd := &EngineGuard{Guard: sim.Guard{MaxSteps: 20}}
-	if _, err := gd.RunDynamic(tr, cfg, sim.FIFO); err == nil {
+	gd := &EngineGuard{}
+	if _, err := gd.Run(tr, sim.Spec{Config: cfg, Schedule: sim.FIFO, Guard: budget}); err == nil {
 		t.Fatal("guard's step budget did not abort the dynamic run")
 	}
 }
@@ -314,14 +316,14 @@ func TestEngineGuardWatchdog(t *testing.T) {
 // benched on them too.
 func TestEngineGuardDynamicCrossCheck(t *testing.T) {
 	tr, _, cfg := guardCell()
-	want, err := sim.RunDynamicGuarded(tr, cfg, sim.LongestFirst, sim.ReferenceEngine, nil, sim.Guard{})
+	want, err := sim.Run(tr, sim.Spec{Config: cfg, Schedule: sim.LongestFirst, Engine: sim.ReferenceEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	healthy := &EngineGuard{SampleEvery: 2}
 	for i := 0; i < 4; i++ {
-		got, err := healthy.RunDynamic(tr, cfg, sim.LongestFirst)
+		got, err := healthy.Run(tr, sim.Spec{Config: cfg, Schedule: sim.LongestFirst})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +338,7 @@ func TestEngineGuardDynamicCrossCheck(t *testing.T) {
 	prev := sim.SetFastEngineFault(func(r *sim.Result) { r.ExecTime += 3 })
 	defer sim.SetFastEngineFault(prev)
 	g := &EngineGuard{SampleEvery: 1}
-	got, err := g.RunDynamic(tr, cfg, sim.LongestFirst)
+	got, err := g.Run(tr, sim.Spec{Config: cfg, Schedule: sim.LongestFirst})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,7 +233,7 @@ func TestSimulateOnlineAlgorithm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.RunOnlineGuarded(tr, &onl, cfg, sim.FastEngine, opts, nil, sim.Guard{})
+	want, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: &onl, Online: opts, Engine: sim.FastEngine})
 	if err != nil {
 		t.Fatal(err)
 	}

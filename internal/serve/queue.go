@@ -228,8 +228,10 @@ func (j *job) begin(cell int) bool {
 }
 
 // finishCell records one cell's outcome; the last cell finalizes the
-// job's terminal status. Returns true when this call completed the job.
-func (j *job) finishCell(cell int, r cellResultInternal) bool {
+// job's terminal status and counts it in m before releasing the job lock,
+// so a client that sees the job finish also sees it counted.
+// Returns true when this call completed the job.
+func (j *job) finishCell(cell int, r cellResultInternal, m *serverMetrics) bool {
 	j.mu.Lock()
 	j.results[cell] = r
 	j.pending--
@@ -247,10 +249,13 @@ func (j *job) finishCell(cell int, r cellResultInternal) bool {
 		switch {
 		case j.cancel.Load() && j.err != nil:
 			j.status = StatusCanceled
+			m.jobsCanceled.Inc()
 		case j.err != nil:
 			j.status = StatusFailed
+			m.jobsFailed.Inc()
 		default:
 			j.status = StatusDone
+			m.jobsCompleted.Inc()
 		}
 	}
 	j.mu.Unlock()

@@ -38,7 +38,8 @@ type Options struct {
 	// simulator polls, so a stuck cell aborts with a BudgetError.
 	RequestTimeout time.Duration
 	// SampleEvery cross-checks every Nth guarded run against the
-	// reference engine (default 16; 0 disables cross-checking).
+	// reference engine. Zero means the default, 16; a negative value
+	// disables cross-checking.
 	SampleEvery int
 	// MinCellTime pads every simulated (non-cached) cell to a minimum
 	// wall-clock service time. Zero in production; the cluster
@@ -97,8 +98,8 @@ func (o Options) withDefaults() Options {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 4096
 	}
-	if o.SampleEvery < 0 {
-		o.SampleEvery = 0
+	if o.SampleEvery == 0 {
+		o.SampleEvery = 16
 	}
 	if o.ServiceName == "" {
 		o.ServiceName = "mtserve"
@@ -275,9 +276,6 @@ func NewServer(opts Options) *Server {
 				opts.Log.Warn("fast engine benched", "divergence", rep.String())
 			}
 		},
-	}
-	if s.guard.SampleEvery == 0 && opts.SampleEvery == 0 {
-		s.guard.SampleEvery = 16
 	}
 	s.metrics.workers.Set(int64(opts.Workers))
 	for i := 0; i < opts.Workers; i++ {
@@ -482,69 +480,70 @@ func (s *Server) runTask(t task) {
 	s.metrics.inFlight.Set(int64(s.inFlight))
 	s.mu.Unlock()
 
-	last := t.j.finishCell(t.cell, r)
+	last := t.j.finishCell(t.cell, r, s.metrics)
 	s.publishCell(t.j, t.cell, r)
 	if last {
-		st := t.j.snapshot()
-		switch st.Status {
-		case StatusDone:
-			s.metrics.jobsCompleted.Inc()
-		case StatusCanceled:
-			s.metrics.jobsCanceled.Inc()
-		case StatusFailed:
-			s.metrics.jobsFailed.Inc()
-		}
 		s.publishJob(t.j)
-		s.notifyJob(t.j, st)
+		s.notifyJob(t.j, t.j.snapshot())
 	}
 }
 
-// resolveCell turns a cellSpec into the concrete (trace, placement,
-// config) triple, reusing the suite's derivations so the served cell is
-// identical to the library cell.
-func (s *Server) resolveCell(params Params, c cellSpec) (*trace.Trace, *placement.Placement, sim.Config, error) {
+// resolveCell turns a cellSpec into its trace and simulation spec
+// (placement, config and, for an ONLINE/… placement name, the online
+// options), reusing the suite's derivations so the served cell is
+// identical to the library cell. The probe, watchdog and engine are
+// per-run and left for simulate.
+func (s *Server) resolveCell(params Params, c cellSpec) (*trace.Trace, sim.Spec, error) {
 	suite := s.suiteFor(params)
 	tr, err := suite.Trace(c.app)
 	if err != nil {
-		return nil, nil, sim.Config{}, err
+		return nil, sim.Spec{}, err
 	}
-	var pl *placement.Placement
+	// An ONLINE/… name — requested, or the label of an explicit
+	// placement — carries the cell's online adaptive configuration.
+	name := c.algorithm
 	if c.explicitPlacement != nil {
-		pl = &placement.Placement{
+		name = c.explicitPlacement.Algorithm
+	}
+	online, isOnline, err := advise.ParseOnlineAlgorithm(name)
+	if err != nil {
+		return nil, sim.Spec{}, err
+	}
+	var spec sim.Spec
+	switch {
+	case c.explicitPlacement != nil:
+		spec.Placement = &placement.Placement{
 			Algorithm: c.explicitPlacement.Algorithm,
 			Clusters:  c.explicitPlacement.Clusters,
 		}
-	} else if spec, ok, perr := advise.ParseOnlineAlgorithm(c.algorithm); ok || perr != nil {
-		if perr != nil {
-			return nil, nil, sim.Config{}, perr
-		}
-		// Online cell: place with the spec's static seed, then rename the
-		// placement to the canonical ONLINE name so every cache, store and
-		// shard key carries the full online configuration. Copy before
-		// renaming — the suite shares placements across cells.
-		seed, err := suite.Place(c.app, spec.SeedAlgorithm(), c.procs)
+	case isOnline:
+		// Place with the spec's static seed, then rename the placement to
+		// the canonical ONLINE name so every cache, store and shard key
+		// carries the full online configuration. Copy before renaming —
+		// the suite shares placements across cells.
+		seed, err := suite.Place(c.app, online.SeedAlgorithm(), c.procs)
 		if err != nil {
-			return nil, nil, sim.Config{}, err
+			return nil, sim.Spec{}, err
 		}
 		onl := *seed
-		onl.Algorithm = spec.String()
-		pl = &onl
-	} else {
-		pl, err = suite.Place(c.app, c.algorithm, c.procs)
-		if err != nil {
-			return nil, nil, sim.Config{}, err
+		onl.Algorithm = online.String()
+		spec.Placement = &onl
+	default:
+		if spec.Placement, err = suite.Place(c.app, c.algorithm, c.procs); err != nil {
+			return nil, sim.Spec{}, err
 		}
 	}
-	var cfg sim.Config
+	if isOnline {
+		if spec.Online, err = online.Options(); err != nil {
+			return nil, sim.Spec{}, err
+		}
+	}
 	if c.explicitConfig != nil {
-		cfg = *c.explicitConfig
-	} else {
-		cfg, err = suite.Config(c.app, c.procs, c.infinite)
-		if err != nil {
-			return nil, nil, sim.Config{}, err
-		}
+		spec.Config = *c.explicitConfig
+	} else if spec.Config, err = suite.Config(c.app, c.procs, c.infinite); err != nil {
+		return nil, sim.Spec{}, err
 	}
-	return tr, pl, cfg, nil
+	return tr, spec, nil
 }
 
 // runCell executes one cell: cache lookup, single-flight dedup, guarded
@@ -563,11 +562,11 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	if s.opts.BeforeCell != nil {
 		s.opts.BeforeCell()
 	}
-	tr, pl, cfg, err := s.resolveCell(j.params, c)
+	tr, spec, err := s.resolveCell(j.params, c)
 	if err != nil {
 		return cellResultInternal{err: err}
 	}
-	key := rescache.KeyOf(j.params.Scale, j.params.Seed, c.app, core.PlacementKey(pl), cfg, c.engine)
+	key := rescache.KeyOf(j.params.Scale, j.params.Seed, c.app, core.PlacementKey(spec.Placement), spec.Config, c.engine)
 	keyHex := key.String()
 
 	if s.cellStarted != nil {
@@ -625,7 +624,7 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 		engineSpan = s.spans.Start(sctx, s.opts.ServiceName, "engine "+c.engine)
 	}
 	t0 := time.Now()
-	res, counters, err := s.simulate(j, c, cell, tr, pl, cfg)
+	res, counters, err := s.simulate(j, c, cell, tr, spec)
 	if err == nil && res != nil {
 		if sec := time.Since(t0).Seconds(); sec > 0 {
 			s.metrics.engineRate.Observe(int64(float64(res.ExecTime) / sec))
@@ -653,53 +652,37 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	return cellResultInternal{key: keyHex, res: res, counters: counters}
 }
 
-// simulate runs the cell on its engine under the job's guard. When the
-// job has a live SSE subscriber and sample streaming is configured, a
-// Sampler rides along and its windows are published as "sample" events
-// after the run (zero cost for unwatched jobs: the probe is nil and the
-// engines skip every hook).
-func (s *Server) simulate(j *job, c cellSpec, cell int, tr *trace.Trace, pl *placement.Placement, cfg sim.Config) (*sim.Result, *obs.Counter, error) {
-	guard := sim.Guard{MaxSteps: s.opts.MaxSteps, Cancel: &j.cancel}
+// simulate runs the resolved cell on its engine under the job's guard.
+// When the job has a live SSE subscriber and sample streaming is
+// configured, a Sampler rides along and its windows are published as
+// "sample" events after the run (zero cost for unwatched jobs: the probe
+// is nil and the engines skip every hook).
+func (s *Server) simulate(j *job, c cellSpec, cell int, tr *trace.Trace, spec sim.Spec) (*sim.Result, *obs.Counter, error) {
+	spec.Guard = sim.Guard{MaxSteps: s.opts.MaxSteps, Cancel: &j.cancel}
 	var timer *time.Timer
 	if s.opts.RequestTimeout > 0 {
 		timer = time.AfterFunc(s.opts.RequestTimeout, func() { j.cancel.Store(true) })
 	}
-	var probe obs.Probe
 	var counters *obs.Counter
 	if c.counters {
 		counters = &obs.Counter{}
-		probe = counters
+		spec.Probe = counters
 	}
 	var sampler *obs.Sampler
 	if s.bus != nil && s.opts.StreamWindow > 0 && s.bus.Subscribers(jobTopic(j.id)) > 0 {
 		sampler = obs.NewSampler(s.opts.StreamWindow)
-		probe = obs.Multi(probe, sampler)
-	}
-
-	// An ONLINE/… placement name carries the cell's online adaptive
-	// configuration; a zero OnlineOptions makes the online entry points
-	// delegate to the exact static paths, so one switch serves both.
-	var online sim.OnlineOptions
-	if spec, ok, perr := advise.ParseOnlineAlgorithm(pl.Algorithm); perr != nil {
-		return nil, nil, perr
-	} else if ok {
-		var oerr error
-		if online, oerr = spec.Options(); oerr != nil {
-			return nil, nil, oerr
-		}
+		spec.Probe = obs.Multi(spec.Probe, sampler)
 	}
 
 	s.metrics.simRuns.Inc()
-	var res *sim.Result
-	var err error
+	run := s.guard.Run // EngineGuarded
 	switch c.engine {
 	case EngineFast:
-		res, err = sim.RunOnlineGuarded(tr, pl, cfg, sim.FastEngine, online, probe, guard)
+		run = sim.Run
 	case EngineReference:
-		res, err = sim.RunOnlineGuarded(tr, pl, cfg, sim.ReferenceEngine, online, probe, guard)
-	default: // EngineGuarded
-		res, err = s.guard.RunOnline(tr, pl, cfg, online, probe, guard)
+		run, spec.Engine = sim.Run, sim.ReferenceEngine
 	}
+	res, err := run(tr, spec)
 	if timer != nil {
 		timer.Stop()
 	}

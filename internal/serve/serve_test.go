@@ -176,7 +176,7 @@ func TestSimulateExplicitPlacementAndConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Associativity = 2 // an ablation config no named cell reaches
-	want, err := sim.Run(tr, pl, cfg)
+	want, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,6 +550,29 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 		}
 	}
 
+	// A sweep counts as completed by the time a poller sees it done.
+	sweep := SweepRequest{Params: &testParams, Apps: []string{"MP3D"}, Algorithms: []string{"LOAD-BAL"}, Procs: []int{2}}
+	resp, body := postJSON(t, ts.URL+"/v1/sweep", sweep)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sweep: %d %s", resp.StatusCode, body)
+	}
+	var acc SweepAccepted
+	if err := json.Unmarshal(body, &acc); err != nil {
+		t.Fatal(err)
+	}
+	if st := pollJob(t, ts.URL, acc.Job); st.Status != StatusDone {
+		t.Fatalf("sweep ended %s: %s", st.Status, st.Error)
+	}
+	mresp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbody, _ = io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(mbody), "serve_jobs_completed_total 2") {
+		t.Errorf("/metrics after a finished sweep missing serve_jobs_completed_total 2:\n%s", mbody)
+	}
+
 	var pl PlacementsResponse
 	if resp := getJSON(t, ts.URL+"/v1/placements", &pl); resp.StatusCode != http.StatusOK {
 		t.Fatalf("placements: %d", resp.StatusCode)
@@ -660,7 +683,7 @@ func TestDegradedServerKeepsAnswering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.RunGuarded(tr, pl, cfg, sim.ReferenceEngine, nil, sim.Guard{})
+	want, err := sim.Run(tr, sim.Spec{Config: cfg, Placement: pl, Engine: sim.ReferenceEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,6 +697,35 @@ func TestDegradedServerKeepsAnswering(t *testing.T) {
 	getJSON(t, ts.URL+"/healthz", &h)
 	if h.Status != "degraded" || !h.Degraded || h.Divergence == "" {
 		t.Errorf("healthz does not report degradation: %+v", h)
+	}
+}
+
+// TestSampleEveryDefaultAndOff: SampleEvery 0 is the default period of
+// 16 (one cross-check in sixteen guarded cells) and a negative value
+// turns cross-checking off.
+func TestSampleEveryDefaultAndOff(t *testing.T) {
+	for _, c := range []struct{ sampleEvery, checks int }{{0, 1}, {-1, 0}} {
+		s, ts := newTestServer(t, Options{Workers: 2, SampleEvery: c.sampleEvery})
+		req := SweepRequest{
+			Params:     &Params{Scale: 0.1, Seed: 1994},
+			Apps:       []string{"MP3D", "Water"},
+			Algorithms: []string{"RANDOM", "LOAD-BAL", "SHARE-REFS", "MIN-SHARE"},
+			Procs:      []int{2, 4},
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/sweep", req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("sweep: %d %s", resp.StatusCode, body)
+		}
+		var acc SweepAccepted
+		if err := json.Unmarshal(body, &acc); err != nil {
+			t.Fatal(err)
+		}
+		if st := pollJob(t, ts.URL, acc.Job); st.Status != StatusDone {
+			t.Fatalf("SampleEvery %d: job ended %s: %s", c.sampleEvery, st.Status, st.Error)
+		}
+		if runs, checks := s.Guard().Stats(); runs != 16 || checks != uint64(c.checks) {
+			t.Errorf("SampleEvery %d: runs/cross-checks = %d/%d, want 16/%d", c.sampleEvery, runs, checks, c.checks)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ func TestSetAssociativityEliminatesPingPong(t *testing.T) {
 
 	direct := DefaultConfig(1)
 	direct.CacheSize = 64
-	res, err := Run(tr, mkPlacement([]int{0}), direct)
+	res, err := Run(tr, Spec{Config: direct, Placement: mkPlacement([]int{0})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestSetAssociativityEliminatesPingPong(t *testing.T) {
 
 	assoc := direct
 	assoc.Associativity = 2
-	res, err = RunChecked(tr, mkPlacement([]int{0}), assoc, 1)
+	res, err = runChecked(tr, mkPlacement([]int{0}), assoc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestAssociativeProtocolInvariants(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.CacheSize = 4 << 10
 	cfg.Associativity = 4
-	if _, err := RunChecked(tr, mkPlacement([]int{0, 1}, []int{2, 3}, []int{4, 5}), cfg, 500); err != nil {
+	if _, err := runChecked(tr, mkPlacement([]int{0, 1}, []int{2, 3}, []int{4, 5}), cfg, 500); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -122,7 +122,7 @@ func TestMaxContextsSerializes(t *testing.T) {
 
 	one := DefaultConfig(1)
 	one.MaxContexts = 1
-	serial, err := RunChecked(tr, pl, one, 1)
+	serial, err := runChecked(tr, pl, one, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestMaxContextsSerializes(t *testing.T) {
 	}
 
 	multi := DefaultConfig(1)
-	parallel, err := Run(tr, pl, multi)
+	parallel, err := Run(tr, Spec{Config: multi, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestMaxContextsLargerThanThreadsIsNoop(t *testing.T) {
 	pl := mkPlacement([]int{0, 1})
 	capped := DefaultConfig(1)
 	capped.MaxContexts = 8
-	a, err := Run(tr, pl, capped)
+	a, err := Run(tr, Spec{Config: capped, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tr, pl, DefaultConfig(1))
+	b, err := Run(tr, Spec{Config: DefaultConfig(1), Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestCheckpointLiveRoundTrip(t *testing.T) {
 		}
 	}
 	opts := OnlineOptions{Interval: 500, Penalty: 8, Policy: checkpointSpyPolicy{probe}}
-	if _, err := RunOnlineGuarded(tr, pl, cfg, FastEngine, opts, nil, Guard{}); err != nil {
+	if _, err := Run(tr, Spec{Config: cfg, Placement: pl, Online: opts, Engine: FastEngine}); err != nil {
 		t.Fatal(err)
 	}
 	if seen == 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/trace"
 )
@@ -15,8 +14,9 @@ import (
 // would adopt, given no a priori application knowledge" — but a real
 // runtime scheduler is *online*: it hands the next waiting thread to
 // whichever processor frees a context first, load-balancing without any
-// static analysis. RunDynamic simulates that discipline, bounding what
-// static LOAD-BAL's oracle knowledge (exact thread lengths) is worth.
+// static analysis. Run with a nil Spec.Placement simulates that
+// discipline, bounding what static LOAD-BAL's oracle knowledge (exact
+// thread lengths) is worth.
 
 // SchedulePolicy orders the dynamic scheduler's ready queue.
 type SchedulePolicy int
@@ -35,66 +35,6 @@ func (p SchedulePolicy) String() string {
 		return "longest-first"
 	}
 	return "fifo"
-}
-
-// RunDynamic simulates the trace with online self-scheduling instead of a
-// static placement: each processor starts ContextsPerProc threads (from
-// cfg.MaxContexts, default 1) and pulls the next queued thread whenever a
-// context frees. Returns the same Result as Run; Result.Algorithm is
-// "DYNAMIC/<policy>". It runs on the fast engine.
-//
-// Implementation: the global queue is consumed through the same engine as
-// static runs. Because context-free events occur in deterministic global
-// time order, the simulation is reproducible.
-func RunDynamic(tr *trace.Trace, cfg Config, policy SchedulePolicy) (*Result, error) {
-	return RunDynamicObserved(tr, cfg, policy, nil)
-}
-
-// RunDynamicObserved is RunDynamic with an observation probe attached (see
-// RunObserved). A nil probe is exactly RunDynamic.
-func RunDynamicObserved(tr *trace.Trace, cfg Config, policy SchedulePolicy, probe obs.Probe) (*Result, error) {
-	return RunDynamicGuarded(tr, cfg, policy, FastEngine, probe, Guard{})
-}
-
-// RunDynamicGuarded is the full dynamic entry point: engine choice, probe
-// and watchdog (see RunGuarded). Dynamic schedules are where the watchdog
-// earns its keep: the online scheduler's feedback loop is the one place a
-// bad configuration can livelock rather than merely finish slowly.
-func RunDynamicGuarded(tr *trace.Trace, cfg Config, policy SchedulePolicy, eng Engine, probe obs.Probe, guard Guard) (*Result, error) {
-	pl, full, err := dynamicLayout(tr, cfg, policy)
-	if err != nil {
-		return nil, err
-	}
-	// Build with every thread loaded (queued ones on processor 0), then
-	// detach the queue: each queued thread keeps the cursor and first
-	// reference the build gave it.
-	cfgAll := cfg
-	cfgAll.MaxContexts = 0
-	seeded := len(pl.Clusters[0])
-	switch eng {
-	case ReferenceEngine:
-		m, err := newMachine(tr, full, cfgAll)
-		if err != nil {
-			return nil, err
-		}
-		m.cfg = cfg
-		m.detachQueue(seeded)
-		m.probe = probe
-		m.guard = newGuardState(guard)
-		return m.run(tr, pl, 0)
-	case FastEngine:
-		m, err := newFastMachine(tr, full, cfgAll)
-		if err != nil {
-			return nil, err
-		}
-		m.cfg = cfg
-		m.detachQueue(seeded)
-		m.probe = probe
-		m.guard = newGuardState(guard)
-		return m.run(tr, pl)
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %d", eng)
-	}
 }
 
 // dynamicLayout validates a dynamic run and lays it out in policy order:

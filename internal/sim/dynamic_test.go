@@ -30,7 +30,7 @@ func TestDynamicSchedulingCompletesAllThreads(t *testing.T) {
 	tr := skewedTrace(t, 24)
 	cfg := DefaultConfig(4)
 	cfg.MaxContexts = 2
-	res, err := RunDynamic(tr, cfg, FIFO)
+	res, err := Run(tr, Spec{Config: cfg, Schedule: FIFO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestDynamicBalancesLoadOnline(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.MaxContexts = 2
 
-	dyn, err := RunDynamic(tr, cfg, LongestFirst)
+	dyn, err := Run(tr, Spec{Config: cfg, Schedule: LongestFirst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestDynamicBalancesLoadOnline(t *testing.T) {
 		{10, 11, 12, 13, 15, 16},
 		{17, 18, 19, 20, 22, 23},
 	}
-	static, err := Run(tr, mkPlacement(clusters...), DefaultConfig(4))
+	static, err := Run(tr, Spec{Config: DefaultConfig(4), Placement: mkPlacement(clusters...)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestDynamicBalancesLoadOnline(t *testing.T) {
 func TestDynamicPoliciesDiffer(t *testing.T) {
 	tr := skewedTrace(t, 24)
 	cfg := DefaultConfig(4)
-	fifo, err := RunDynamic(tr, cfg, FIFO)
+	fifo, err := Run(tr, Spec{Config: cfg, Schedule: FIFO})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lpt, err := RunDynamic(tr, cfg, LongestFirst)
+	lpt, err := Run(tr, Spec{Config: cfg, Schedule: LongestFirst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestDynamicDeterministic(t *testing.T) {
 	tr := skewedTrace(t, 24)
 	cfg := DefaultConfig(4)
 	cfg.MaxContexts = 2
-	a, err := RunDynamic(tr, cfg, FIFO)
+	a, err := Run(tr, Spec{Config: cfg, Schedule: FIFO})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunDynamic(tr, cfg, FIFO)
+	b, err := Run(tr, Spec{Config: cfg, Schedule: FIFO})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,20 @@ func TestDynamicDeterministic(t *testing.T) {
 func TestDynamicErrors(t *testing.T) {
 	tr := skewedTrace(t, 4)
 	cfg := DefaultConfig(8) // 8 seeds needed, only 4 threads
-	if _, err := RunDynamic(tr, cfg, FIFO); err == nil {
+	if _, err := Run(tr, Spec{Config: cfg, Schedule: FIFO}); err == nil {
 		t.Error("under-seeded dynamic run accepted")
 	}
-	if _, err := RunDynamic(tr, Config{}, FIFO); err == nil {
+	if _, err := Run(tr, Spec{Config: Config{}, Schedule: FIFO}); err == nil {
 		t.Error("invalid config accepted")
+	}
+	if _, err := Run(tr, Spec{Config: DefaultConfig(2), Engine: Engine(7)}); err == nil {
+		t.Error("dynamic run on an unknown engine accepted")
+	}
+	online := OnlineOptions{Interval: 100, Policy: keepPolicy{}}
+	for _, eng := range []Engine{FastEngine, ReferenceEngine} {
+		if _, err := Run(tr, Spec{Config: DefaultConfig(2), Online: online, Engine: eng}); err == nil {
+			t.Errorf("online run without a seed placement accepted on the %s engine", eng)
+		}
 	}
 }
 

@@ -107,8 +107,8 @@ type machine struct {
 	// channels holds each interconnect channel's next free time when
 	// contention is modeled (Config.NetworkChannels > 0).
 	channels []uint64
-	// dynamic self-scheduling state (RunDynamic): threads waiting for a
-	// processor to free a context.
+	// dynamic self-scheduling state (nil Spec.Placement): threads
+	// waiting for a processor to free a context.
 	dynamic  bool
 	dynQueue []dynThread
 	// probe, when non-nil, receives observability events. Probes never
@@ -116,10 +116,10 @@ type machine struct {
 	// deeply equal Results (asserted by the differential suite).
 	probe obs.Probe
 	// guard, when non-nil, is the run's watchdog (step budget and
-	// cancellation, see RunGuarded). Nil for unguarded runs.
+	// cancellation, see Spec.Guard). Nil for unguarded runs.
 	guard *guardState
 	// online, when non-nil, is the mid-run adaptive-placement state (see
-	// RunOnlineGuarded). Nil for static runs: the hot loop pays one nil
+	// Spec.Online). Nil for static runs: the hot loop pays one nil
 	// check and nothing else.
 	online *onlineState
 }
@@ -138,7 +138,7 @@ const (
 	// sharer scratch buffers.
 	FastEngine Engine = iota
 	// ReferenceEngine is the original straightforward implementation,
-	// kept as the oracle for differential testing and for RunChecked's
+	// kept as the oracle for differential testing and for the tests'
 	// protocol-invariant verification.
 	ReferenceEngine
 )
@@ -151,57 +151,104 @@ func (e Engine) String() string {
 	return "fast"
 }
 
-// Run simulates trace tr on the machine described by cfg under the given
-// placement. It is deterministic and returns per-processor statistics, the
-// execution time (max finish over processors), and the pairwise coherence
-// traffic matrix. It uses the fast engine; RunEngine selects explicitly.
-func Run(tr *trace.Trace, pl *placement.Placement, cfg Config) (*Result, error) {
-	return RunEngine(tr, pl, cfg, FastEngine)
+// Spec describes one simulation run. The paper compares placement
+// policies by running one simulator over one trace and changing only the
+// policy, so every run goes through Run with a Spec: a static placement,
+// dynamic self-scheduling (nil Placement) or online adaptive placement
+// (non-zero Online). The zero values of the other fields give the plain
+// run: fast engine, no probe, no watchdog.
+type Spec struct {
+	// Config describes the simulated machine.
+	Config Config
+	// Placement is the static placement, or the seed placement an online
+	// run starts from. Nil selects dynamic self-scheduling under
+	// Schedule.
+	Placement *placement.Placement
+	// Schedule orders the dynamic scheduler's ready queue. It is read
+	// only when Placement is nil.
+	Schedule SchedulePolicy
+	// Online turns on mid-run adaptive re-placement. The zero value is
+	// the static run, cycle for cycle: the online machinery is not even
+	// constructed.
+	Online OnlineOptions
+	// Engine selects the implementation. The two engines are bit-for-bit
+	// interchangeable; ReferenceEngine is the slower oracle the
+	// differential tests compare FastEngine against.
+	Engine Engine
+	// Probe, when non-nil, receives thread scheduling, cache hits and
+	// misses, coherence messages, context switches, migrations and
+	// event-queue depth as they happen. A nil probe costs one nil check
+	// per emission site; any probe leaves the Result bit-identical.
+	Probe obs.Probe
+	// Guard bounds the run: it aborts with a *BudgetError once
+	// Guard.MaxSteps events have been processed or Guard.Cancel reads
+	// true. The zero Guard imposes no bound.
+	Guard Guard
 }
 
-// RunEngine is Run with an explicit engine choice. The two engines are
-// bit-for-bit interchangeable; ReferenceEngine exists as the slower oracle
-// the differential tests compare FastEngine against.
-func RunEngine(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine) (*Result, error) {
-	return RunObserved(tr, pl, cfg, eng, nil)
-}
-
-// RunObserved is RunEngine with an observability probe attached: the
-// engine reports thread scheduling, cache hits and misses, coherence
-// messages, context switches and event-queue depth to the probe as they
-// happen. A nil probe is the plain RunEngine hot path (no per-event cost
-// beyond one nil check per emission site); any probe leaves the Result
-// bit-identical to the unobserved run.
-func RunObserved(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine, probe obs.Probe) (*Result, error) {
-	switch eng {
+// Run simulates trace tr as s describes. It is deterministic and returns
+// per-processor statistics, the execution time (max finish over
+// processors), and the pairwise coherence traffic matrix.
+//
+// A dynamic run (nil Placement) starts Config.MaxContexts threads
+// (default 1) on each processor; each processor pulls the next queued
+// thread whenever a context frees, and Result.Algorithm is
+// "DYNAMIC/<policy>". Context-free events occur in deterministic
+// global time order, so the run is reproducible.
+func Run(tr *trace.Trace, s Spec) (*Result, error) {
+	online := s.Online.enabled()
+	pl, build, cfg := s.Placement, s.Placement, s.Config
+	seeded := -1
+	if pl == nil {
+		if online {
+			return nil, fmt.Errorf("sim: online placement needs a seed placement; dynamic scheduling has none")
+		}
+		var err error
+		if pl, build, err = dynamicLayout(tr, cfg, s.Schedule); err != nil {
+			return nil, err
+		}
+		// Build with every thread loaded (queued ones on processor 0),
+		// then detach the queue: each queued thread keeps the cursor and
+		// first reference the build gave it.
+		cfg.MaxContexts = 0
+		seeded = len(pl.Clusters[0])
+	} else if online && cfg.MaxContexts > 0 {
+		return nil, fmt.Errorf("sim: online placement is incompatible with MaxContexts (loaded-context admission would race migrations)")
+	}
+	switch s.Engine {
 	case ReferenceEngine:
-		m, err := newMachine(tr, pl, cfg)
+		m, err := newMachine(tr, build, cfg)
 		if err != nil {
 			return nil, err
 		}
-		m.probe = probe
+		if seeded >= 0 {
+			m.cfg = s.Config
+			m.detachQueue(seeded)
+		}
+		m.probe = s.Probe
+		m.guard = newGuardState(s.Guard)
+		if online {
+			m.online = newOnlineState(s.Online, tr, m.cfg)
+		}
 		return m.run(tr, pl, 0)
 	case FastEngine:
-		m, err := newFastMachine(tr, pl, cfg)
+		m, err := newFastMachine(tr, build, cfg)
 		if err != nil {
 			return nil, err
 		}
-		m.probe = probe
+		if seeded >= 0 {
+			m.cfg = s.Config
+			m.detachQueue(seeded)
+		}
+		m.probe = s.Probe
+		m.guard = newGuardState(s.Guard)
+		if online {
+			m.online = newOnlineState(s.Online, tr, m.cfg)
+		}
 		return m.run(tr, pl)
 	default:
-		return nil, fmt.Errorf("sim: unknown engine %d", eng)
+		return nil, fmt.Errorf("sim: unknown engine %d", s.Engine)
 	}
-}
-
-// RunChecked is Run with the global coherence-protocol invariants verified
-// every checkEvery events (and once at the end). It is slower and intended
-// for tests; the invariant checker lives on the reference engine.
-func RunChecked(tr *trace.Trace, pl *placement.Placement, cfg Config, checkEvery int) (*Result, error) {
-	m, err := newMachine(tr, pl, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return m.run(tr, pl, checkEvery)
 }
 
 func newMachine(tr *trace.Trace, pl *placement.Placement, cfg Config) (*machine, error) {

@@ -75,8 +75,8 @@ func FuzzEngine(f *testing.F) {
 			cfg.Protocol = Update
 		}
 
-		ref, rerr := RunEngine(tr, pl, cfg, ReferenceEngine)
-		fast, ferr := RunEngine(tr, pl, cfg, FastEngine)
+		ref, rerr := Run(tr, Spec{Config: cfg, Placement: pl, Engine: ReferenceEngine})
+		fast, ferr := Run(tr, Spec{Config: cfg, Placement: pl, Engine: FastEngine})
 		if (rerr == nil) != (ferr == nil) {
 			t.Fatalf("engines disagree on validity: reference err %v, fast err %v", rerr, ferr)
 		}
@@ -96,8 +96,8 @@ func FuzzEngine(f *testing.F) {
 			for _, contexts := range []int{1, 2} {
 				dcfg := cfg
 				dcfg.MaxContexts = contexts
-				ref, rerr := RunDynamicGuarded(tr, dcfg, policy, ReferenceEngine, nil, Guard{})
-				fast, ferr := RunDynamicGuarded(tr, dcfg, policy, FastEngine, nil, Guard{})
+				ref, rerr := Run(tr, Spec{Config: dcfg, Schedule: policy, Engine: ReferenceEngine})
+				fast, ferr := Run(tr, Spec{Config: dcfg, Schedule: policy, Engine: FastEngine})
 				if (rerr == nil) != (ferr == nil) {
 					t.Fatalf("%v/%dctx: engines disagree on validity: reference err %v, fast err %v", policy, contexts, rerr, ferr)
 				}

@@ -27,6 +27,17 @@ func mkPlacement(clusters ...[]int) *placement.Placement {
 	return &placement.Placement{Algorithm: "TEST", Clusters: clusters}
 }
 
+// runChecked runs a static placement on the reference engine with the
+// global coherence-protocol invariants verified every checkEvery events
+// and once at the end.
+func runChecked(tr *trace.Trace, pl *placement.Placement, cfg Config, checkEvery int) (*Result, error) {
+	m, err := newMachine(tr, pl, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return m.run(tr, pl, checkEvery)
+}
+
 func sh(i int) uint64 { return trace.SharedBase + uint64(i)*trace.WordSize }
 
 // shBlock returns an address i whole cache lines into the shared segment,
@@ -37,7 +48,7 @@ func TestSingleRefTiming(t *testing.T) {
 	// One thread, one reference, gap 0: miss at 0, memory until 50,
 	// retried hit completes at 51.
 	tr := mkTrace([]trace.Event{{Kind: trace.Read, Addr: sh(0)}})
-	res, err := Run(tr, mkPlacement([]int{0}), DefaultConfig(1))
+	res, err := Run(tr, Spec{Config: DefaultConfig(1), Placement: mkPlacement([]int{0})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +74,7 @@ func TestHitAfterMissTiming(t *testing.T) {
 		{Kind: trace.Read, Addr: sh(0)},
 		{Kind: trace.Read, Addr: sh(0)},
 	})
-	res, err := Run(tr, mkPlacement([]int{0}), DefaultConfig(1))
+	res, err := Run(tr, Spec{Config: DefaultConfig(1), Placement: mkPlacement([]int{0})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +93,7 @@ func TestHitAfterMissTiming(t *testing.T) {
 func TestGapExecution(t *testing.T) {
 	// gap 10 before a missing ref: miss at 10, completes at 60.
 	tr := mkTrace([]trace.Event{{Gap: 10, Kind: trace.Read, Addr: sh(0)}})
-	res, err := Run(tr, mkPlacement([]int{0}), DefaultConfig(1))
+	res, err := Run(tr, Spec{Config: DefaultConfig(1), Placement: mkPlacement([]int{0})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +115,11 @@ func TestMultithreadingHidesLatency(t *testing.T) {
 		}
 		return out
 	}
-	serialA, err := Run(mkTrace(evs(0)), mkPlacement([]int{0}), DefaultConfig(1))
+	serialA, err := Run(mkTrace(evs(0)), Spec{Config: DefaultConfig(1), Placement: mkPlacement([]int{0})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := Run(mkTrace(evs(0), evs(100)), mkPlacement([]int{0, 1}), DefaultConfig(1))
+	both, err := Run(mkTrace(evs(0), evs(100)), Spec{Config: DefaultConfig(1), Placement: mkPlacement([]int{0, 1})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +147,7 @@ func TestCoherenceInvalidation(t *testing.T) {
 			{Gap: 300, Kind: trace.Read, Addr: x}, // t~451: invalidation miss
 		},
 	)
-	res, err := RunChecked(tr, mkPlacement([]int{0}, []int{1}), DefaultConfig(2), 1)
+	res, err := runChecked(tr, mkPlacement([]int{0}, []int{1}), DefaultConfig(2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +191,7 @@ func TestSilentUpgradeIsFree(t *testing.T) {
 		{Kind: trace.Read, Addr: x},
 		{Kind: trace.Write, Addr: x},
 	})
-	res, err := RunChecked(tr, mkPlacement([]int{0}), DefaultConfig(1), 1)
+	res, err := runChecked(tr, mkPlacement([]int{0}), DefaultConfig(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +212,7 @@ func TestWriteMissInvalidatesAllSharers(t *testing.T) {
 		[]trace.Event{{Gap: 100, Kind: trace.Read, Addr: x}, {Gap: 500, Kind: trace.Read, Addr: sh(101 * DefaultLineSize / trace.WordSize)}},
 		[]trace.Event{{Gap: 200, Kind: trace.Write, Addr: x}},
 	)
-	res, err := RunChecked(tr, mkPlacement([]int{0}, []int{1}, []int{2}), DefaultConfig(3), 1)
+	res, err := runChecked(tr, mkPlacement([]int{0}, []int{1}, []int{2}), DefaultConfig(3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +237,7 @@ func TestIntraVsInterThreadConflicts(t *testing.T) {
 		{Kind: trace.Read, Addr: a},
 		{Kind: trace.Read, Addr: b},
 	})
-	res, err := Run(tr, mkPlacement([]int{0}), cfg)
+	res, err := Run(tr, Spec{Config: cfg, Placement: mkPlacement([]int{0})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +251,7 @@ func TestIntraVsInterThreadConflicts(t *testing.T) {
 		[]trace.Event{{Kind: trace.Read, Addr: a}, {Gap: 120, Kind: trace.Read, Addr: a}},
 		[]trace.Event{{Gap: 60, Kind: trace.Read, Addr: b}, {Gap: 120, Kind: trace.Read, Addr: b}},
 	)
-	res, err = Run(tr, mkPlacement([]int{0, 1}), cfg)
+	res, err = Run(tr, Spec{Config: cfg, Placement: mkPlacement([]int{0, 1})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +278,7 @@ func TestInfiniteCacheEliminatesConflicts(t *testing.T) {
 	}
 	cfg := DefaultConfig(2)
 	cfg.InfiniteCache = true
-	res, err := RunChecked(tr, mkPlacement([]int{0, 1}, []int{2, 3}), cfg, 1000)
+	res, err := runChecked(tr, mkPlacement([]int{0, 1}, []int{2, 3}), cfg, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +327,7 @@ func TestConservationInvariants(t *testing.T) {
 		}
 		cfg := DefaultConfig(procs)
 		cfg.CacheSize = 4 << 10 // small cache to force conflicts
-		res, err := RunChecked(tr, mkPlacement(clusters...), cfg, 500)
+		res, err := runChecked(tr, mkPlacement(clusters...), cfg, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,11 +370,11 @@ func TestDeterminism(t *testing.T) {
 	}
 	pl := mkPlacement([]int{0, 1}, []int{2, 3}, []int{4, 5})
 	cfg := DefaultConfig(3)
-	a, err := Run(tr, pl, cfg)
+	a, err := Run(tr, Spec{Config: cfg, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tr, pl, cfg)
+	b, err := Run(tr, Spec{Config: cfg, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,14 +385,27 @@ func TestDeterminism(t *testing.T) {
 
 func TestRunRejectsBadInputs(t *testing.T) {
 	tr := mkTrace([]trace.Event{{Kind: trace.Read, Addr: sh(0)}})
-	if _, err := Run(tr, mkPlacement([]int{0}, []int{0}), DefaultConfig(2)); err == nil {
-		t.Error("double-placed thread accepted")
-	}
-	if _, err := Run(tr, mkPlacement([]int{0}), Config{}); err == nil {
-		t.Error("zero config accepted")
-	}
-	if _, err := Run(tr, mkPlacement([]int{0}), DefaultConfig(2)); err == nil {
-		t.Error("placement/config processor mismatch accepted")
+	online := OnlineOptions{Interval: 100, Policy: keepPolicy{}}
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{
+		{"double-placed thread", Spec{Config: DefaultConfig(2), Placement: mkPlacement([]int{0}, []int{0})}},
+		{"zero config", Spec{Config: Config{}, Placement: mkPlacement([]int{0})}},
+		{"placement/config processor mismatch", Spec{Config: DefaultConfig(2), Placement: mkPlacement([]int{0})}},
+		{"online seed placement/config processor mismatch", Spec{Config: DefaultConfig(2), Placement: mkPlacement([]int{0}), Online: online}},
+		{"unknown engine", Spec{Config: DefaultConfig(1), Placement: mkPlacement([]int{0}), Engine: Engine(7)}},
+		{"online run on an unknown engine", Spec{Config: DefaultConfig(1), Placement: mkPlacement([]int{0}), Online: online, Engine: Engine(7)}},
+	} {
+		for _, eng := range []Engine{FastEngine, ReferenceEngine} {
+			s := c.spec
+			if s.Engine == FastEngine {
+				s.Engine = eng
+			}
+			if _, err := Run(tr, s); err == nil {
+				t.Errorf("%s accepted (engine %d)", c.name, s.Engine)
+			}
+		}
 	}
 }
 
@@ -393,7 +417,7 @@ func TestThreadFinishOrdering(t *testing.T) {
 		long = append(long, trace.Event{Gap: 20, Kind: trace.Read, Addr: shBlock(i + 10)})
 	}
 	tr := mkTrace(short, long)
-	res, err := Run(tr, mkPlacement([]int{0, 1}), DefaultConfig(1))
+	res, err := Run(tr, Spec{Config: DefaultConfig(1), Placement: mkPlacement([]int{0, 1})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +443,7 @@ func TestMissFractionsAndTotals(t *testing.T) {
 		{Kind: trace.Read, Addr: sh(0)},
 		{Kind: trace.Read, Addr: shBlock(5)},
 	})
-	res, err := Run(tr, mkPlacement([]int{0}), DefaultConfig(1))
+	res, err := Run(tr, Spec{Config: DefaultConfig(1), Placement: mkPlacement([]int{0})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ type fastMachine struct {
 	wr           *writeRunTracker
 	channels     []uint64
 	// dynQueue holds the threads waiting for a free context under dynamic
-	// self-scheduling (RunDynamic); empty for static placements.
+	// self-scheduling (nil Spec.Placement); empty for static placements.
 	dynQueue []dynThread
 	// scratch is the reusable sharer buffer for invalidation and update
 	// fan-out; it grows to the maximum sharer count once and is then
@@ -68,10 +68,10 @@ type fastMachine struct {
 	// simulation state.
 	probe obs.Probe
 	// guard, when non-nil, is the run's watchdog (step budget and
-	// cancellation, see RunGuarded). Nil for unguarded runs.
+	// cancellation, see Spec.Guard). Nil for unguarded runs.
 	guard *guardState
 	// online, when non-nil, is the mid-run adaptive-placement state (see
-	// RunOnlineGuarded). Nil for static runs: the hot loop pays one nil
+	// Spec.Online). Nil for static runs: the hot loop pays one nil
 	// check and nothing else.
 	online *onlineState
 }
@@ -239,7 +239,7 @@ func (m *fastMachine) run(tr *trace.Trace, pl *placement.Placement) (*Result, er
 }
 
 // pullDynamic hands the processor the next queued thread, if any, in a
-// fresh hardware context (dynamic self-scheduling, see RunDynamic). The
+// fresh hardware context (dynamic self-scheduling, see Run). The
 // slab's capacity was reserved for the whole queue at construction, so
 // the append never moves the slab and context pointers stay valid.
 //

@@ -223,11 +223,11 @@ func TestEnginesAgreePagedCaches(t *testing.T) {
 	pl := &placement.Placement{Algorithm: "PAGED", Clusters: [][]int{{0, 1}, {2, 3}, {4, 5}}}
 	for _, cfg := range []Config{cacheConfig(96<<10, 3), cacheConfig(InfiniteCacheSize, 0)} {
 		cfg.Processors = 3
-		ref, err := RunEngine(tr, pl, cfg, ReferenceEngine)
+		ref, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: ReferenceEngine})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := RunEngine(tr, pl, cfg, FastEngine)
+		fast, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: FastEngine})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/placement"
-	"repro/internal/trace"
 )
 
 // Guard bounds a simulation run. The paper's sweeps chain thousands of
@@ -109,32 +107,6 @@ func (g *guardState) budgetError(meta obs.RunMeta, cycle uint64, queue int, prob
 	return &BudgetError{
 		App: meta.App, Algorithm: meta.Algorithm, Engine: meta.Engine,
 		Steps: g.steps, Cycle: cycle, Queue: queue, Canceled: g.canceled,
-	}
-}
-
-// RunGuarded is RunObserved with a watchdog attached: the run aborts with
-// a *BudgetError once guard.MaxSteps references have been issued or
-// guard.Cancel reads true. The zero Guard makes it exactly RunObserved.
-func RunGuarded(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine, probe obs.Probe, guard Guard) (*Result, error) {
-	switch eng {
-	case ReferenceEngine:
-		m, err := newMachine(tr, pl, cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.probe = probe
-		m.guard = newGuardState(guard)
-		return m.run(tr, pl, 0)
-	case FastEngine:
-		m, err := newFastMachine(tr, pl, cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.probe = probe
-		m.guard = newGuardState(guard)
-		return m.run(tr, pl)
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %d", eng)
 	}
 }
 

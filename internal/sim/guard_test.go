@@ -36,11 +36,11 @@ func TestGuardZeroValueIsPlainRun(t *testing.T) {
 	pl := mkPlacement([]int{0, 1}, []int{2, 3})
 	cfg := DefaultConfig(2)
 	for _, eng := range []Engine{FastEngine, ReferenceEngine} {
-		plain, err := RunEngine(tr, pl, cfg, eng)
+		plain, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng})
 		if err != nil {
 			t.Fatal(err)
 		}
-		guarded, err := RunGuarded(tr, pl, cfg, eng, nil, Guard{})
+		guarded, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng, Guard: Guard{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,13 +55,13 @@ func TestGuardLooseBudgetDoesNotFire(t *testing.T) {
 	pl := mkPlacement([]int{0, 1}, []int{2, 3})
 	cfg := DefaultConfig(2)
 	for _, eng := range []Engine{FastEngine, ReferenceEngine} {
-		plain, err := RunEngine(tr, pl, cfg, eng)
+		plain, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A finite run processes a bounded number of engine events; any
 		// budget above that must not alter the result.
-		guarded, err := RunGuarded(tr, pl, cfg, eng, nil, Guard{MaxSteps: 1 << 30})
+		guarded, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng, Guard: Guard{MaxSteps: 1 << 30}})
 		if err != nil {
 			t.Fatalf("%s: loose budget fired: %v", eng, err)
 		}
@@ -77,7 +77,7 @@ func TestGuardStepBudgetAborts(t *testing.T) {
 	cfg := DefaultConfig(2)
 	for _, eng := range []Engine{FastEngine, ReferenceEngine} {
 		probe := &obs.Counter{}
-		res, err := RunGuarded(tr, pl, cfg, eng, probe, Guard{MaxSteps: 100})
+		res, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng, Probe: probe, Guard: Guard{MaxSteps: 100}})
 		if err == nil {
 			t.Fatalf("%s: budget of 100 steps did not abort (result %v)", eng, res)
 		}
@@ -110,7 +110,7 @@ func TestGuardCancelAborts(t *testing.T) {
 	for _, eng := range []Engine{FastEngine, ReferenceEngine} {
 		var cancel atomic.Bool
 		cancel.Store(true) // pre-canceled: must abort at the first poll
-		_, err := RunGuarded(tr, pl, cfg, eng, nil, Guard{Cancel: &cancel})
+		_, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng, Guard: Guard{Cancel: &cancel}})
 		var be *BudgetError
 		if !errors.As(err, &be) {
 			t.Fatalf("%s: got %v, want *BudgetError", eng, err)
@@ -129,12 +129,12 @@ func TestGuardDynamic(t *testing.T) {
 	tr := guardTrace(8, 400)
 	cfg := DefaultConfig(2)
 
-	plain, err := RunDynamic(tr, cfg, FIFO)
+	plain, err := Run(tr, Spec{Config: cfg, Schedule: FIFO})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, eng := range []Engine{FastEngine, ReferenceEngine} {
-		guarded, err := RunDynamicGuarded(tr, cfg, FIFO, eng, nil, Guard{MaxSteps: 1 << 30})
+		guarded, err := Run(tr, Spec{Config: cfg, Schedule: FIFO, Engine: eng, Guard: Guard{MaxSteps: 1 << 30}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestGuardDynamic(t *testing.T) {
 			t.Errorf("%s: guarded dynamic result differs from plain run", eng)
 		}
 
-		_, err = RunDynamicGuarded(tr, cfg, FIFO, eng, nil, Guard{MaxSteps: 50})
+		_, err = Run(tr, Spec{Config: cfg, Schedule: FIFO, Engine: eng, Guard: Guard{MaxSteps: 50}})
 		var be *BudgetError
 		if !errors.As(err, &be) {
 			t.Fatalf("%s: dynamic budget abort: got %v, want *BudgetError", eng, err)
@@ -158,14 +158,14 @@ func TestSetFastEngineFault(t *testing.T) {
 	pl := mkPlacement([]int{0, 1}, []int{2, 3})
 	cfg := DefaultConfig(2)
 
-	honest, err := RunEngine(tr, pl, cfg, FastEngine)
+	honest, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: FastEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := SetFastEngineFault(func(r *Result) { r.ExecTime += 1000 })
 	defer SetFastEngineFault(prev)
 
-	broken, err := RunEngine(tr, pl, cfg, FastEngine)
+	broken, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: FastEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestSetFastEngineFault(t *testing.T) {
 		t.Errorf("fault hook not applied: %d vs %d", broken.ExecTime, honest.ExecTime)
 	}
 	// The reference engine must be untouched by the hook.
-	ref, err := RunEngine(tr, pl, cfg, ReferenceEngine)
+	ref, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: ReferenceEngine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSetFastEngineFault(t *testing.T) {
 	if SetFastEngineFault(nil) == nil {
 		t.Error("SetFastEngineFault(nil) did not return the installed hook")
 	}
-	clean, err := RunEngine(tr, pl, cfg, FastEngine)
+	clean, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: FastEngine})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-	"repro/internal/placement"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Online adaptive placement: an extension beyond the paper's dynamic
 // COHERENCE-TRAFFIC algorithm, which only re-places threads *between*
@@ -16,9 +10,9 @@ import (
 // modeled migration penalty (pipeline drain plus the working-set refill
 // that emerges naturally as compulsory misses on the destination cache).
 //
-// With the interval disabled the online path delegates to the exact
-// static run: RunOnlineGuarded with zero OnlineOptions is RunGuarded,
-// cycle for cycle, on both engines (asserted by the differential suite).
+// With the interval disabled Run does not construct the online state, so
+// a zero Spec.Online is the static run, cycle for cycle, on both engines
+// (asserted by the differential suite).
 
 // OnlineOptions configure mid-run adaptive re-placement.
 type OnlineOptions struct {
@@ -459,52 +453,4 @@ func (m *fastMachine) onlineBoundary() {
 func (o *onlineState) finish() *OnlineStats {
 	s := o.stats
 	return &s
-}
-
-// RunOnline simulates with online adaptive placement on the fast engine.
-// pl is the seed placement the run starts from. Zero opts make it
-// exactly Run.
-func RunOnline(tr *trace.Trace, pl *placement.Placement, cfg Config, opts OnlineOptions) (*Result, error) {
-	return RunOnlineGuarded(tr, pl, cfg, FastEngine, opts, nil, Guard{})
-}
-
-// RunOnlineObserved is RunOnline with an engine choice and a probe (see
-// RunObserved); migrations reach the probe as Migrate events.
-func RunOnlineObserved(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine, opts OnlineOptions, probe obs.Probe) (*Result, error) {
-	return RunOnlineGuarded(tr, pl, cfg, eng, opts, probe, Guard{})
-}
-
-// RunOnlineGuarded is the full online entry point: engine choice, probe
-// and watchdog. With opts disabled (zero Interval or nil Policy) it
-// delegates to RunGuarded unchanged — the online machinery is not even
-// constructed, so the run is cycle-exact against the static path.
-func RunOnlineGuarded(tr *trace.Trace, pl *placement.Placement, cfg Config, eng Engine, opts OnlineOptions, probe obs.Probe, guard Guard) (*Result, error) {
-	if !opts.enabled() {
-		return RunGuarded(tr, pl, cfg, eng, probe, guard)
-	}
-	if cfg.MaxContexts > 0 {
-		return nil, fmt.Errorf("sim: online placement is incompatible with MaxContexts (loaded-context admission would race migrations)")
-	}
-	switch eng {
-	case ReferenceEngine:
-		m, err := newMachine(tr, pl, cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.probe = probe
-		m.guard = newGuardState(guard)
-		m.online = newOnlineState(opts, tr, m.cfg)
-		return m.run(tr, pl, 0)
-	case FastEngine:
-		m, err := newFastMachine(tr, pl, cfg)
-		if err != nil {
-			return nil, err
-		}
-		m.probe = probe
-		m.guard = newGuardState(guard)
-		m.online = newOnlineState(opts, tr, m.cfg)
-		return m.run(tr, pl)
-	default:
-		return nil, fmt.Errorf("sim: unknown engine %d", eng)
-	}
 }

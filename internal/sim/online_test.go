@@ -78,12 +78,12 @@ func TestOnlineDisabledIsStatic(t *testing.T) {
 	prop := func(seed int64) bool {
 		tr, pl, cfg := randWorkload(rand.New(rand.NewSource(seed)))
 		for _, eng := range []Engine{ReferenceEngine, FastEngine} {
-			static, err := RunGuarded(tr, pl, cfg, eng, nil, Guard{})
+			static, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng})
 			if err != nil {
 				t.Logf("seed %d %v: static: %v", seed, eng, err)
 				return false
 			}
-			online, err := RunOnlineGuarded(tr, pl, cfg, eng, OnlineOptions{}, nil, Guard{})
+			online, err := Run(tr, Spec{Config: cfg, Placement: pl, Online: OnlineOptions{}, Engine: eng})
 			if err != nil {
 				t.Logf("seed %d %v: online-off: %v", seed, eng, err)
 				return false
@@ -117,12 +117,12 @@ func TestOnlineKeepPolicyIsStatic(t *testing.T) {
 			Policy:   keepPolicy{},
 		}
 		for _, eng := range []Engine{ReferenceEngine, FastEngine} {
-			static, err := RunGuarded(tr, pl, cfg, eng, nil, Guard{})
+			static, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng})
 			if err != nil {
 				t.Logf("seed %d %v: static: %v", seed, eng, err)
 				return false
 			}
-			online, err := RunOnlineGuarded(tr, pl, cfg, eng, opts, nil, Guard{})
+			online, err := Run(tr, Spec{Config: cfg, Placement: pl, Online: opts, Engine: eng})
 			if err != nil {
 				t.Logf("seed %d %v: online: %v", seed, eng, err)
 				return false
@@ -159,12 +159,12 @@ func TestOnlineEnginesAgree(t *testing.T) {
 			Penalty:  uint64(rng.Intn(200)),
 			Policy:   policies[rng.Intn(len(policies))],
 		}
-		ref, err := RunOnlineGuarded(tr, pl, cfg, ReferenceEngine, opts, nil, Guard{})
+		ref, err := Run(tr, Spec{Config: cfg, Placement: pl, Online: opts, Engine: ReferenceEngine})
 		if err != nil {
 			t.Logf("seed %d: reference: %v", seed, err)
 			return false
 		}
-		fast, err := RunOnlineGuarded(tr, pl, cfg, FastEngine, opts, nil, Guard{})
+		fast, err := Run(tr, Spec{Config: cfg, Placement: pl, Online: opts, Engine: FastEngine})
 		if err != nil {
 			t.Logf("seed %d: fast: %v", seed, err)
 			return false
@@ -174,7 +174,7 @@ func TestOnlineEnginesAgree(t *testing.T) {
 				seed, ref.ExecTime, ref.Online.Migrations, fast.ExecTime, fast.Online.Migrations)
 			return false
 		}
-		again, err := RunOnlineGuarded(tr, pl, cfg, FastEngine, opts, nil, Guard{})
+		again, err := Run(tr, Spec{Config: cfg, Placement: pl, Online: opts, Engine: FastEngine})
 		if err != nil || !reflect.DeepEqual(fast, again) {
 			t.Logf("seed %d: online fast engine not deterministic", seed)
 			return false
@@ -208,7 +208,7 @@ func TestOnlineMigrationAccounting(t *testing.T) {
 	tr, pl, cfg := onlineTestWorkload(t)
 	opts := OnlineOptions{Interval: 500, Penalty: 64, Policy: rotatePolicy{}}
 	counter := &obs.Counter{}
-	res, err := RunOnlineObserved(tr, pl, cfg, FastEngine, opts, counter)
+	res, err := Run(tr, Spec{Config: cfg, Placement: pl, Online: opts, Engine: FastEngine, Probe: counter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestOnlineMigrationAccounting(t *testing.T) {
 		}
 	}
 	// A static run must not carry online stats.
-	static, err := Run(tr, pl, cfg)
+	static, err := Run(tr, Spec{Config: cfg, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestOnlineSamplerAndTracerSeeMigrations(t *testing.T) {
 	opts := OnlineOptions{Interval: 500, Penalty: 16, Policy: rotatePolicy{}}
 	sampler := obs.NewSampler(1000)
 	tracer := obs.NewTracer()
-	res, err := RunOnlineObserved(tr, pl, cfg, ReferenceEngine, opts, obs.Multi(sampler, tracer))
+	res, err := Run(tr, Spec{Config: cfg, Placement: pl, Online: opts, Engine: ReferenceEngine, Probe: obs.Multi(sampler, tracer)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,9 @@ func TestOnlineRejectsMaxContexts(t *testing.T) {
 	tr, pl, cfg := onlineTestWorkload(t)
 	cfg.MaxContexts = 1
 	opts := OnlineOptions{Interval: 100, Penalty: 1, Policy: keepPolicy{}}
-	if _, err := RunOnlineGuarded(tr, pl, cfg, FastEngine, opts, nil, Guard{}); err == nil {
-		t.Fatal("online run with MaxContexts > 0 should be refused")
+	for _, eng := range []Engine{FastEngine, ReferenceEngine} {
+		if _, err := Run(tr, Spec{Config: cfg, Placement: pl, Online: opts, Engine: eng}); err == nil {
+			t.Fatalf("online run with MaxContexts > 0 should be refused on the %s engine", eng)
+		}
 	}
 }

@@ -64,12 +64,12 @@ func TestProbeDoesNotPerturbResults(t *testing.T) {
 	cfg := DefaultConfig(2)
 
 	for _, eng := range []Engine{ReferenceEngine, FastEngine} {
-		bare, err := RunEngine(tr, pl, cfg, eng)
+		bare, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var c obs.Counter
-		probed, err := RunObserved(tr, pl, cfg, eng, &c)
+		probed, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng, Probe: &c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestCounterMatchesResult(t *testing.T) {
 		cfg.Protocol = proto
 		for _, eng := range []Engine{ReferenceEngine, FastEngine} {
 			var c obs.Counter
-			res, err := RunObserved(tr, pl, cfg, eng, &c)
+			res, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng, Probe: &c})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestProbeThreadLifecycle(t *testing.T) {
 
 	for _, eng := range []Engine{ReferenceEngine, FastEngine} {
 		lc := &lifecycleProbe{t: t, eng: eng, running: map[int]bool{}, last: map[int]uint64{}}
-		if _, err := RunObserved(tr, pl, cfg, eng, lc); err != nil {
+		if _, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng, Probe: lc}); err != nil {
 			t.Fatal(err)
 		}
 		for thread, on := range lc.running {
@@ -215,12 +215,12 @@ func TestRunDynamicObserved(t *testing.T) {
 	cfg := DefaultConfig(2)
 
 	for _, policy := range []SchedulePolicy{FIFO, LongestFirst} {
-		bare, err := RunDynamic(tr, cfg, policy)
+		bare, err := Run(tr, Spec{Config: cfg, Schedule: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var c obs.Counter
-		probed, err := RunDynamicObserved(tr, cfg, policy, &c)
+		probed, err := Run(tr, Spec{Config: cfg, Schedule: policy, Probe: &c})
 		if err != nil {
 			t.Fatal(err)
 		}

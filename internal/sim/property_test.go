@@ -84,17 +84,17 @@ func randWorkload(rng *rand.Rand) (*trace.Trace, *placement.Placement, Config) {
 func TestQuickEnginesAgree(t *testing.T) {
 	prop := func(seed int64) bool {
 		tr, pl, cfg := randWorkload(rand.New(rand.NewSource(seed)))
-		ref, err := RunEngine(tr, pl, cfg, ReferenceEngine)
+		ref, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: ReferenceEngine})
 		if err != nil {
 			t.Logf("seed %d: reference engine error: %v", seed, err)
 			return false
 		}
-		fast, err := RunEngine(tr, pl, cfg, FastEngine)
+		fast, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: FastEngine})
 		if err != nil {
 			t.Logf("seed %d: fast engine error: %v", seed, err)
 			return false
 		}
-		again, err := RunEngine(tr, pl, cfg, FastEngine)
+		again, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: FastEngine})
 		if err != nil {
 			return false
 		}

@@ -23,7 +23,7 @@ func TestUpdateProtocolEliminatesInvalidations(t *testing.T) {
 	pl := mkPlacement([]int{0}, []int{1})
 
 	inv := DefaultConfig(2)
-	invRes, err := RunChecked(tr, pl, inv, 1)
+	invRes, err := runChecked(tr, pl, inv, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestUpdateProtocolEliminatesInvalidations(t *testing.T) {
 
 	upd := DefaultConfig(2)
 	upd.Protocol = Update
-	updRes, err := RunChecked(tr, pl, upd, 1)
+	updRes, err := runChecked(tr, pl, upd, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestUpdateProtocolInvariants(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.Protocol = Update
 	cfg.CacheSize = 4 << 10
-	res, err := RunChecked(tr, mkPlacement([]int{0, 1}, []int{2, 3}, []int{4, 5}), cfg, 500)
+	res, err := runChecked(tr, mkPlacement([]int{0, 1}, []int{2, 3}, []int{4, 5}), cfg, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestNetworkContentionAddsWait(t *testing.T) {
 	}
 	pl := mkPlacement(clusters...)
 
-	free, err := Run(tr, pl, DefaultConfig(8))
+	free, err := Run(tr, Spec{Config: DefaultConfig(8), Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(8)
 	cfg.NetworkChannels = 1
 	cfg.NetworkOccupancy = 16
-	congested, err := Run(tr, pl, cfg)
+	congested, err := Run(tr, Spec{Config: cfg, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestNetworkContentionAddsWait(t *testing.T) {
 
 	// Plenty of channels: close to the uncontended time.
 	cfg.NetworkChannels = 64
-	wide, err := Run(tr, pl, cfg)
+	wide, err := Run(tr, Spec{Config: cfg, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,11 @@ func TestContentionDeterministic(t *testing.T) {
 	pl := mkPlacement([]int{0}, []int{1})
 	cfg := DefaultConfig(2)
 	cfg.NetworkChannels = 2
-	a, err := Run(tr, pl, cfg)
+	a, err := Run(tr, Spec{Config: cfg, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(tr, pl, cfg)
+	b, err := Run(tr, Spec{Config: cfg, Placement: pl})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ type Result struct {
 	// Config.TrackWriteRuns was set, else nil.
 	WriteRuns *WriteRunStats
 	// Online holds the migration log of an online adaptive run (see
-	// RunOnlineGuarded), nil for static runs. The omitempty tag keeps
+	// Spec.Online), nil for static runs. The omitempty tag keeps
 	// every static Result's JSON encoding byte-identical to before online
 	// mode existed — result caches and stored sweeps are unaffected.
 	Online *OnlineStats `json:"Online,omitempty"`

@@ -61,7 +61,7 @@ func TestWriteRunsThroughSimulation(t *testing.T) {
 	tr := mkTrace(t0, t1)
 	cfg := DefaultConfig(2)
 	cfg.TrackWriteRuns = true
-	res, err := Run(tr, mkPlacement([]int{0}, []int{1}), cfg)
+	res, err := Run(tr, Spec{Config: cfg, Placement: mkPlacement([]int{0}, []int{1})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestWriteRunsThroughSimulation(t *testing.T) {
 	}
 
 	// Disabled by default.
-	res, err = Run(tr, mkPlacement([]int{0}, []int{1}), DefaultConfig(2))
+	res, err = Run(tr, Spec{Config: DefaultConfig(2), Placement: mkPlacement([]int{0}, []int{1})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestWriteRunsIgnorePrivateWrites(t *testing.T) {
 	})
 	cfg := DefaultConfig(1)
 	cfg.TrackWriteRuns = true
-	res, err := Run(tr, mkPlacement([]int{0}), cfg)
+	res, err := Run(tr, Spec{Config: cfg, Placement: mkPlacement([]int{0})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,8 @@
 package mtsim
 
 import (
+	"errors"
+
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/model"
@@ -140,9 +142,12 @@ func PlaceData(d *SharingData, algorithm string, processors int, seed int64) (*P
 }
 
 // Simulate runs the trace on the machine described by cfg under the given
-// placement.
+// placement, which must be non-nil (SimulateDynamic runs without one).
 func Simulate(tr *Trace, pl *Placement, cfg Config) (*Result, error) {
-	return sim.Run(tr, pl, cfg)
+	if pl == nil {
+		return nil, errors.New("mtsim: Simulate needs a placement")
+	}
+	return sim.Run(tr, sim.Spec{Config: cfg, Placement: pl})
 }
 
 // NewSuite returns an experiment suite over the given options.
@@ -185,5 +190,5 @@ func SimulateDynamic(tr *Trace, cfg Config, longestFirst bool) (*Result, error) 
 	if longestFirst {
 		policy = sim.LongestFirst
 	}
-	return sim.RunDynamic(tr, cfg, policy)
+	return sim.Run(tr, sim.Spec{Config: cfg, Schedule: policy})
 }

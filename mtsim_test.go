@@ -45,6 +45,9 @@ func TestFacadeErrors(t *testing.T) {
 	if _, err := AppByName("nope"); err == nil {
 		t.Error("AppByName accepted unknown name")
 	}
+	if _, err := Simulate(tr, nil, DefaultConfig(4)); err == nil {
+		t.Error("Simulate accepted a nil placement")
+	}
 }
 
 func TestFacadeApplicationsAndAlgorithms(t *testing.T) {
