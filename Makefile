@@ -95,13 +95,15 @@ faultcheck:
 # store suite (format goldens, recovery, quarantine, compaction,
 # write-behind), the retry/backoff core, the webhook dispatcher
 # (journaled delivery, breaker, restart resume), the store fault matrix
-# (every corrupting class x offset detected, zero silent), and the
-# kill -9 warm-restart differential against a real subprocess daemon.
+# (every corrupting class x offset detected, zero silent), the kill -9
+# warm-restart differential against a real subprocess daemon, and the
+# request tier's alias faults (dangling, wrong req, unknown version,
+# explicit bypass, restart with nothing resolved) plus its key golden.
 storecheck:
 	$(GO) test ./internal/store ./internal/retry ./internal/serve/webhook
 	$(GO) test ./internal/resilience -run 'TestStoreFaultMatrix|TestStoreQuarantineMatrix|TestStoreTornTail'
 	$(GO) test ./cmd/mtserve -run 'TestKillDashNine'
-	$(GO) test ./internal/serve -run 'TestStoreTier|TestWebhook'
+	$(GO) test ./internal/serve -run 'TestStoreTier|TestWebhook|TestRequestTier|TestRequestKeyGolden|TestRequestIndex'
 	$(GO) test ./internal/cluster -run 'TestClusterStore|TestClusterWebhook'
 
 bench:

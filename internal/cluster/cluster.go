@@ -313,12 +313,13 @@ type cjob struct {
 	done     chan struct{} // closed at the terminal state
 }
 
-// finish closes the done channel and ends the root span, exactly once
-// across the finalize and retire paths.
+// finish ends the root span and closes the done channel, exactly once
+// across the finalize and retire paths. The span ends first, so a
+// client woken by done always finds it in the trace.
 func (j *cjob) finish() {
 	j.doneOnce.Do(func() {
-		close(j.done)
 		j.span.End()
+		close(j.done)
 	})
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/serve"
 	"repro/internal/serve/rescache"
@@ -38,17 +37,11 @@ const shardKeyVersion = "mtcoord-shard-v1"
 // and engine — mirroring the inputs of the workers' own result-cache
 // keys (rescache.KeyOf needs the resolved placement, which only the
 // worker derives; the request-level identity is a strict function of
-// these fields, so equal shard keys imply equal result-cache keys).
+// these fields, so equal shard keys imply equal result-cache keys). The
+// fields are serve.RequestFields, the same encoding as the workers'
+// request-level key, under this package's own label.
 func CellShardKey(params serve.Params, app, algorithm string, procs int, infinite bool, engine string) rescache.Key {
-	return rescache.SumStrings(shardKeyVersion,
-		fmt.Sprintf("scale=%g", params.Scale),
-		fmt.Sprintf("seed=%d", params.Seed),
-		"app="+app,
-		"alg="+algorithm,
-		fmt.Sprintf("procs=%d", procs),
-		fmt.Sprintf("infinite=%t", infinite),
-		"engine="+engine,
-	)
+	return rescache.SumStrings(shardKeyVersion, serve.RequestFields(params, app, algorithm, procs, infinite, engine)...)
 }
 
 // rendezvousScore ranks one (cell, worker) pair. The highest score among

@@ -292,3 +292,40 @@ func TestClusterTraceChaos(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterTraceRootSpanAtTerminal: a client that reads the terminal
+// job event off the SSE stream and fetches the trace at once finds the
+// sweep's root span already ended and exported.
+func TestClusterTraceRootSpanAtTerminal(t *testing.T) {
+	tc := startCoordinator(t, testCoordOptions())
+	// A slow cell keeps the job running until the stream is attached.
+	tc.addWorker("w0", serve.Options{Workers: 1, BeforeCell: func() { time.Sleep(100 * time.Millisecond) }})
+	tc.waitLive(1)
+
+	params := serve.Params{Scale: testScale, Seed: testSeed}
+	acc, err := tc.client().Sweep(&serve.SweepRequest{
+		Params: &params, Apps: []string{"MP3D"}, Algorithms: []string{"RANDOM"}, Procs: []int{2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, cancel := openSSE(t, tc.ts.URL+"/v1/jobs/"+acc.Job+"/events")
+	defer cancel()
+	terminal := false
+	for ev := range events {
+		var je serve.JobEvent
+		if ev.kind == "job" && json.Unmarshal(ev.data, &je) == nil && serve.TerminalStatus(je.Status) {
+			terminal = true
+			break
+		}
+	}
+	if !terminal {
+		t.Fatal("stream closed without a terminal job event")
+	}
+	for _, sp := range fetchTraceSpans(t, tc.ts.URL, acc.Trace).Spans {
+		if sp.Service == coordService && sp.Name == "sweep" {
+			return
+		}
+	}
+	t.Fatal("terminal event delivered before the sweep root span was in the trace")
+}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"net/url"
+	"sync"
 
 	"repro/internal/advise"
 	"repro/internal/obs"
@@ -423,8 +424,27 @@ func validateAlgorithmName(alg string) error {
 	if _, ok, err := advise.ParseOnlineAlgorithm(alg); ok || err != nil {
 		return err
 	}
-	_, err := placement.ByName(alg)
+	if servedAlgorithms()[alg] {
+		return nil
+	}
+	_, err := placement.ByName(alg) // the unknown-name error
 	return err
+}
+
+// servedApps and servedAlgorithms are the catalog names, built on first
+// use: placement.ByName and workload.ByName build the whole catalog on
+// every call, kilobytes per validated request.
+var (
+	servedApps       = sync.OnceValue(func() map[string]bool { return nameSet(workload.Names()) })
+	servedAlgorithms = sync.OnceValue(func() map[string]bool { return nameSet(placement.Names()) })
+)
+
+func nameSet(names []string) map[string]bool {
+	set := make(map[string]bool, len(names))
+	for _, n := range names {
+		set[n] = true
+	}
+	return set
 }
 
 func validateApp(app string) error {
@@ -434,10 +454,11 @@ func validateApp(app string) error {
 	if len(app) > MaxNameLen {
 		return fmt.Errorf("app name longer than %d bytes", MaxNameLen)
 	}
-	if _, err := workload.ByName(app); err != nil {
-		return err
+	if servedApps()[app] {
+		return nil
 	}
-	return nil
+	_, err := workload.ByName(app) // the unknown-name error
+	return err
 }
 
 // Validate checks shape and bounds. It is the complete acceptance

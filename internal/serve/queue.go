@@ -265,12 +265,14 @@ func (j *job) finishCell(cell int, r cellResultInternal, m *serverMetrics) bool 
 	return last
 }
 
-// finish closes the done channel and ends the job's root span, exactly
-// once across the three terminal paths (finishCell, steal, drain).
+// finish ends the job's root span and closes the done channel, exactly
+// once across the three terminal paths (finishCell, steal, drain). The
+// span ends first, so a client woken by done always finds it in the
+// trace.
 func (j *job) finish() {
 	j.doneOnce.Do(func() {
-		close(j.done)
 		j.span.End()
+		close(j.done)
 	})
 }
 

@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/sim"
@@ -63,14 +64,19 @@ func KeyOf(scale float64, seed int64, app, placementKey string, cfg sim.Config, 
 // the same sweep resubmitted (to this server or a restarted one) maps to
 // the same job. Callers must pass parts in a canonical order.
 func SumStrings(label string, parts ...string) Key {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00n=%d\x00", label, len(parts))
+	var pre [256]byte // most pre-images fit: no heap buffer
+	buf := append(pre[:0], label...)
+	buf = append(buf, "\x00n="...)
+	buf = strconv.AppendInt(buf, int64(len(parts)), 10)
+	buf = append(buf, 0)
 	for _, p := range parts {
-		fmt.Fprintf(h, "len=%d\x00%s\x00", len(p), p)
+		buf = append(buf, "len="...)
+		buf = strconv.AppendInt(buf, int64(len(p)), 10)
+		buf = append(buf, 0)
+		buf = append(buf, p...)
+		buf = append(buf, 0)
 	}
-	var k Key
-	h.Sum(k[:0])
-	return k
+	return sha256.Sum256(buf)
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness.

@@ -1,7 +1,10 @@
 package rescache
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -71,6 +74,24 @@ func TestKeySensitivity(t *testing.T) {
 func TestKeyConfigFieldCount(t *testing.T) {
 	if n := reflect.TypeOf(sim.Config{}).NumField(); n != KeyConfigFields {
 		t.Fatalf("sim.Config has %d fields but rescache.KeyOf encodes %d; extend the canonical encoding (and bump its version tag) before shipping", n, KeyConfigFields)
+	}
+}
+
+// TestSumStringsEncoding: SumStrings hashes exactly the tagged
+// pre-image job IDs, shard keys and request keys have always used,
+// rebuilt here with fmt as an independent reference.
+func TestSumStringsEncoding(t *testing.T) {
+	for _, parts := range [][]string{nil, {""}, {"scale=0.25", "seed=1994", "app=MP3D"}, {strings.Repeat("x", 300), "\x00"}} {
+		h := sha256.New()
+		fmt.Fprintf(h, "%s\x00n=%d\x00", "label", len(parts))
+		for _, p := range parts {
+			fmt.Fprintf(h, "len=%d\x00%s\x00", len(p), p)
+		}
+		var want Key
+		h.Sum(want[:0])
+		if got := SumStrings("label", parts...); got != want {
+			t.Errorf("SumStrings(%q) = %s, want %s", parts, got, want)
+		}
 	}
 }
 

@@ -223,12 +223,15 @@ func newServerMetrics() *serverMetrics {
 // engine guard. Create with NewServer, serve via Handler, stop with
 // Drain.
 type Server struct {
-	opts    Options
-	queue   *taskQueue
-	cache   *rescache.Cache
-	guard   *resilience.EngineGuard
-	jobs    *jobRegistry
-	metrics *serverMetrics
+	opts  Options
+	queue *taskQueue
+	cache *rescache.Cache
+	// requests is the request tier's memory index (request.go), bounded
+	// by Options.CacheEntries like the result cache.
+	requests *requestIndex
+	guard    *resilience.EngineGuard
+	jobs     *jobRegistry
+	metrics  *serverMetrics
 
 	// spans and bus are the telemetry layer; both nil when
 	// Options.DisableTelemetry (every call site nil-guards, enforced by
@@ -245,7 +248,7 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// Test hooks, nil in production. When set, every cell execution first
+	// Test hooks, nil in production. When set, every resolved cell first
 	// sends its cell key on cellStarted, then blocks until cellGate is
 	// closed or receives — letting the drain test freeze a worker
 	// mid-cell deterministically.
@@ -257,12 +260,13 @@ type Server struct {
 func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
-		opts:    opts,
-		queue:   newTaskQueue(opts.QueueDepth),
-		cache:   rescache.New(opts.CacheEntries),
-		jobs:    newJobRegistry(),
-		metrics: newServerMetrics(),
-		flights: make(map[rescache.Key]*flight),
+		opts:     opts,
+		queue:    newTaskQueue(opts.QueueDepth),
+		cache:    rescache.New(opts.CacheEntries),
+		jobs:     newJobRegistry(),
+		metrics:  newServerMetrics(),
+		flights:  make(map[rescache.Key]*flight),
+		requests: newRequestIndex(opts.CacheEntries),
 	}
 	if !opts.DisableTelemetry {
 		s.spans = obs.NewSpanStore(opts.SpanCapacity)
@@ -546,9 +550,10 @@ func (s *Server) resolveCell(params Params, c cellSpec) (*trace.Trace, sim.Spec,
 	return tr, spec, nil
 }
 
-// runCell executes one cell: cache lookup, single-flight dedup, guarded
-// simulation, cache fill. When tracing is on, the cell and its cache
-// lookup and engine run each become spans on the job's trace.
+// runCell executes one cell: request-tier lookup for a named cell, then
+// resolveAndRun on a miss, recording the request's cell key once it is
+// served. When tracing is on, the cell and its lookups and engine run
+// each become spans on the job's trace.
 func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	c := j.cells[cell]
 	var cellSpan *obs.ActiveSpan
@@ -562,9 +567,31 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	if s.opts.BeforeCell != nil {
 		s.opts.BeforeCell()
 	}
+	// Request tier: a named cell served before is found by its request
+	// fields, without resolving it. A request whose result is no longer
+	// cached or stored resolves like any other.
+	req, named := requestKeyOf(j.params, c)
+	if named {
+		if key, res := s.requestLookup(req, sctx); res != nil {
+			cellSpan.SetNote("request hit")
+			return cellResultInternal{key: key.String(), cached: true, res: res}
+		}
+	}
+	r, key := s.resolveAndRun(j, cell, sctx, cellSpan)
+	if named && r.err == nil {
+		s.requestPut(req, key)
+	}
+	return r
+}
+
+// resolveAndRun serves a cell by its placement-level key: resolve,
+// cache lookup, single-flight dedup, store probe, guarded simulation,
+// cache and store fill. It returns the cell key with the result.
+func (s *Server) resolveAndRun(j *job, cell int, sctx obs.SpanContext, cellSpan *obs.ActiveSpan) (cellResultInternal, rescache.Key) {
+	c := j.cells[cell]
 	tr, spec, err := s.resolveCell(j.params, c)
 	if err != nil {
-		return cellResultInternal{err: err}
+		return cellResultInternal{err: err}, rescache.Key{}
 	}
 	key := rescache.KeyOf(j.params.Scale, j.params.Seed, c.app, core.PlacementKey(spec.Placement), spec.Config, c.engine)
 	keyHex := key.String()
@@ -583,7 +610,7 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 	}
 	if res != nil {
 		cellSpan.SetNote("cache hit")
-		return cellResultInternal{key: keyHex, cached: true, res: res}
+		return cellResultInternal{key: keyHex, cached: true, res: res}, key
 	}
 
 	// Single-flight: concurrent identical misses share one simulation.
@@ -597,9 +624,9 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 			s.spans.AddSpan(sctx, s.opts.ServiceName, "singleflight wait", waitStart, time.Now())
 		}
 		if f.err != nil {
-			return cellResultInternal{key: keyHex, err: f.err}
+			return cellResultInternal{key: keyHex, err: f.err}, key
 		}
-		return cellResultInternal{key: keyHex, res: f.res}
+		return cellResultInternal{key: keyHex, res: f.res}, key
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[key] = f
@@ -616,7 +643,7 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 		s.mu.Unlock()
 		s.cache.Put(key, res)
 		cellSpan.SetNote("store hit")
-		return cellResultInternal{key: keyHex, cached: true, res: res}
+		return cellResultInternal{key: keyHex, cached: true, res: res}, key
 	}
 
 	var engineSpan *obs.ActiveSpan
@@ -645,11 +672,11 @@ func (s *Server) runCell(j *job, cell int) cellResultInternal {
 
 	if err != nil {
 		s.metrics.simFailures.Inc()
-		return cellResultInternal{key: keyHex, err: err}
+		return cellResultInternal{key: keyHex, err: err}, key
 	}
 	s.cache.Put(key, res)
 	s.storePut(key, res)
-	return cellResultInternal{key: keyHex, res: res, counters: counters}
+	return cellResultInternal{key: keyHex, res: res, counters: counters}, key
 }
 
 // simulate runs the resolved cell on its engine under the job's guard.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -111,6 +112,31 @@ func TestDynamicDeterministic(t *testing.T) {
 	}
 	if a.ExecTime != b.ExecTime {
 		t.Error("dynamic run not deterministic")
+	}
+}
+
+// TestDynamicDefaultsNetworkOccupancy: a dynamic run with network
+// channels and no occupancy must model the default occupancy, exactly as
+// a static run does, on both engines.
+func TestDynamicDefaultsNetworkOccupancy(t *testing.T) {
+	tr := skewedTrace(t, 8)
+	implicit := DefaultConfig(2)
+	implicit.NetworkChannels = 1
+	explicit := implicit
+	explicit.NetworkOccupancy = DefaultNetworkOccupancy
+	for _, eng := range []Engine{FastEngine, ReferenceEngine} {
+		got, err := Run(tr, Spec{Config: implicit, Schedule: FIFO, Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(tr, Spec{Config: explicit, Schedule: FIFO, Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: zero occupancy ran as %d cycles (occupancy %d), default as %d",
+				eng, got.ExecTime, got.Config.NetworkOccupancy, want.ExecTime)
+		}
 	}
 }
 

@@ -222,7 +222,7 @@ func Run(tr *trace.Trace, s Spec) (*Result, error) {
 			return nil, err
 		}
 		if seeded >= 0 {
-			m.cfg = s.Config
+			m.cfg.MaxContexts = s.Config.MaxContexts
 			m.detachQueue(seeded)
 		}
 		m.probe = s.Probe
@@ -237,7 +237,7 @@ func Run(tr *trace.Trace, s Spec) (*Result, error) {
 			return nil, err
 		}
 		if seeded >= 0 {
-			m.cfg = s.Config
+			m.cfg.MaxContexts = s.Config.MaxContexts
 			m.detachQueue(seeded)
 		}
 		m.probe = s.Probe

@@ -35,8 +35,10 @@ func TestGuardZeroValueIsPlainRun(t *testing.T) {
 	tr := guardTrace(4, 200)
 	pl := mkPlacement([]int{0, 1}, []int{2, 3})
 	cfg := DefaultConfig(2)
+	// The independent oracle for each engine is the other engine's plain
+	// run: the engines agree cycle for cycle on unguarded runs.
 	for _, eng := range []Engine{FastEngine, ReferenceEngine} {
-		plain, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng})
+		plain, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: otherEngine(eng)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,9 +47,17 @@ func TestGuardZeroValueIsPlainRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(plain, guarded) {
-			t.Errorf("%s: zero-guard result differs from plain run", eng)
+			t.Errorf("%s: zero-guard result differs from the %s engine's plain run", eng, otherEngine(eng))
 		}
 	}
+}
+
+// otherEngine returns the engine a differential compares eng against.
+func otherEngine(eng Engine) Engine {
+	if eng == FastEngine {
+		return ReferenceEngine
+	}
+	return FastEngine
 }
 
 func TestGuardLooseBudgetDoesNotFire(t *testing.T) {

@@ -78,9 +78,10 @@ func TestOnlineDisabledIsStatic(t *testing.T) {
 	prop := func(seed int64) bool {
 		tr, pl, cfg := randWorkload(rand.New(rand.NewSource(seed)))
 		for _, eng := range []Engine{ReferenceEngine, FastEngine} {
-			static, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: eng})
+			// The other engine's static run is the independent oracle.
+			static, err := Run(tr, Spec{Config: cfg, Placement: pl, Engine: otherEngine(eng)})
 			if err != nil {
-				t.Logf("seed %d %v: static: %v", seed, eng, err)
+				t.Logf("seed %d %v: static: %v", seed, otherEngine(eng), err)
 				return false
 			}
 			online, err := Run(tr, Spec{Config: cfg, Placement: pl, Online: OnlineOptions{}, Engine: eng})
@@ -93,7 +94,7 @@ func TestOnlineDisabledIsStatic(t *testing.T) {
 				return false
 			}
 			if !reflect.DeepEqual(static, online) {
-				t.Logf("seed %d %v: online-off diverges from static", seed, eng)
+				t.Logf("seed %d %v: online-off diverges from the %v engine's static run", seed, eng, otherEngine(eng))
 				return false
 			}
 		}
